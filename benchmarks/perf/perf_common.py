@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import resource
 import sys
 import time
 from pathlib import Path
@@ -36,6 +35,8 @@ if "repro" not in sys.modules:
         import repro  # noqa: F401
     except ImportError:
         sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.obs.profile import peak_rss_kib  # noqa: E402  (after the path fix-up)
 
 SCHEMA_VERSION = 1
 
@@ -61,14 +62,6 @@ def machine_fingerprint() -> Dict[str, Any]:
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count(),
     }
-
-
-def peak_rss_kib() -> int:
-    """High-water resident set size of this process (KiB on Linux)."""
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
-        rss //= 1024
-    return int(rss)
 
 
 def bench_record(

@@ -17,8 +17,9 @@ Equivalence argument (tested bit-for-bit in
   ``Simulator._queue`` and burns sequence numbers from
   ``Simulator._next_seq`` at exactly the points the object engine
   allocates them (RPC failure timer before message send, ack before GC
-  registration, reschedule after a periodic callback, ...).  Ordering
-  and tie-breaking are therefore identical by construction.
+  registration, reschedule after a periodic callback, ...) — computed
+  reply hops, last bullet, are the one exception.  Ordering and
+  tie-breaking are therefore identical by construction.
 * **Same randomness.**  Every ``random.Random`` draw (node ids, jitter,
   churn lifetimes, workload keys) happens on the same named registry
   stream, in the same order, as the object engine.
@@ -26,15 +27,61 @@ Equivalence argument (tested bit-for-bit in
   from the same constants at the same protocol points, including the
   quirk that error results are always accounted under the default
   ``"lookup"`` category.
-* **Elision of invisible events.**  The only events not physically
-  queued are (a) *cancelled-in-object* timers (never fire there either;
-  the engine burns their seq and counts a ``phantom`` when a queued
-  stand-in pops dead) and (b) *information-free* replies — per-hop acks,
-  notify/ping replies — whose delivery provably mutates nothing and
-  whose in-time arrival only cancels a failure timer.  Their bytes are
-  accounted normally and they are tallied in ``elided`` so
-  :meth:`ColumnarEngine.logical_events` reports the object engine's
-  exact event count.
+* **Compute, don't schedule.**  A kernel event whose outcome is already
+  determined when it would be pushed is not queued: its seq is burned
+  and its bytes accounted at the push, and it is tallied so that
+  :meth:`ColumnarEngine.logical_events` still reports the object
+  engine's exact event count.  Each rule is one guard over plain state;
+  where the guard fails, the same function queues the real event:
+
+  ===================  ==============================  ====================
+  event                computed while (guard)          counted in
+  ===================  ==============================  ====================
+  timer the object     it pops dead (stabilize or      ``phantom`` (a
+  engine cancels       finger timer / rpc failure      kernel event that
+                       timer of a crashed row; the     is no logical one)
+                       armed head of a ``_Calendar``)
+  per-hop ack,         it arrives before the rpc       ``elided``, or
+  notify/ping reply    deadline (delivery only         ``_future_elided``
+                       cancels the failure timer)      past the horizon
+  lookup attempt       the lookup finished before a    nothing (the object
+  timeout              sweep reached it (constant      engine cancelled
+                       delay: FIFO ``_Calendar``)      it)
+  forward-state GC     the reply passed back through   nothing (cancelled
+  of a relay           before a sweep reached it       there too)
+  forward-state GC     token unforked, so nothing      ``elided`` /
+  of the last node     can observe the entry again;    ``_future_elided``;
+                       row's ``death_at`` is later     nothing if the crash
+                                                       comes first
+  ``route_result``     token unforked; next relay is   ``elided`` per hop
+  relay hop            not the initiator, outlives     (same seq, bytes and
+                       the hop (``death_at``), still   float additions as
+                       holds the entry (GC expiry),    the relay event)
+                       hop is within the horizon
+  ``_ev_done``         ``_finish`` is the last act of  ``elided``
+                       ``_ev_res`` and nothing queued
+                       shares ``now``
+  ===================  ==============================  ====================
+
+  All of it needs a run horizon: under ``run(until=None)`` (or outside
+  ``run``) every event is queued.  A token is *forked* at the one place
+  a second chain can be born — a late per-hop ack, after which the
+  sender's failure timer re-routes while the slow hop routes on.
+
+  What stays equal, and when: byte and message totals are equal to the
+  object engine's at quiescent read points — after ``run()`` returns,
+  and at a lookup's completion for its own ``op_tag`` — not between
+  them, because a computed hop is accounted at the push.  Each computed
+  hop's ``(time, row, bytes)`` is a local of the walk in
+  ``_send_result``, so spans for it remain derivable.
+
+  The one residual assumption: a computed reply's last, queued hop gets
+  its seq earlier than the object engine allocates it.  Seq only breaks
+  ties between equal timestamps, and co-travelling messages keep their
+  relative order by construction (they are computed in push order), so
+  event order is identical unless two *independent* float latency sums
+  collide exactly.  The equivalence and golden suites have never
+  observed one.
 
 The bootstrap (successor/predecessor/finger fill for the initial
 converged ring) is vectorized with numpy — ids sorted once, finger
@@ -65,7 +112,7 @@ from ..net.message import (
 from ..net.network import CAUSE_DEAD, Network
 from ..obs import OBS
 from ..sim import RngRegistry, Simulator
-from ..verme.fingers import verme_finger_target
+from ..verme.fingers import is_verme_finger_target, verme_finger_target
 from .config import OverlayConfig
 from .lookup import LookupStyle
 from .rpc import MIN_RPC_BYTES
@@ -123,8 +170,13 @@ def frozen_gc():
     run is still reclaimed, just in larger batches — and thresholds and
     the frozen heap are restored on exit, so tests that run many cells
     in one process do not accumulate permanent objects.
+
+    There is deliberately no ``gc.collect()`` before the freeze: a full
+    collection of a freshly built ring finds next to nothing (the build
+    makes no cycles) yet costs ~40 ms per 1k rows inside the timed run,
+    and skipping it moved neither run time after the freeze nor peak
+    RSS (measured on ``fig5_churn_1k`` and ``ring_scale_10k``).
     """
-    gc.collect()
     gc.freeze()
     old = gc.get_threshold()
     gc.set_threshold(500_000, 100, 100)
@@ -156,6 +208,58 @@ class _Lookup:
         "k",
         "done_cb",
     )
+
+
+class _Calendar:
+    """Constant-delay timers as one FIFO behind one chained kernel event.
+
+    A constant delay makes expirations FIFO, so instead of one heap
+    entry per timer the engine keeps ``(expire, seq, item)`` in a deque
+    and chains a single sweep event through it, re-using each entry's
+    burned seq so ``(time, seq)`` of any timer that actually fires
+    matches the object kernel exactly.  ``dead(item)`` says the object
+    engine cancelled the timer; dead stays dead, so the sweep drops dead
+    entries at the head without scheduling anything (the object kernel
+    pops their cancelled handles silently).
+    Only an entry that dies *after* the sweep was armed for it costs a
+    kernel event, counted as a phantom.
+    """
+
+    __slots__ = ("_engine", "_dead", "_fire", "_queue", "_armed")
+
+    def __init__(self, engine: "ColumnarEngine", dead, fire) -> None:
+        self._engine = engine
+        self._dead = dead
+        self._fire = fire
+        self._queue: deque = deque()
+        self._armed = False
+
+    def add(self, expire: float, seq: int, item) -> None:
+        self._queue.append((expire, seq, item))
+        if not self._armed:
+            self._armed = True
+            sim = self._engine._sim
+            heapq.heappush(sim._queue, (expire, seq, self._sweep, ()))
+            sim._live += 1
+
+    def _sweep(self) -> None:
+        # Fires with the head entry's exact (expire, seq).
+        queue = self._queue
+        dead = self._dead
+        item = queue.popleft()[2]
+        if dead(item):
+            self._engine.phantom += 1
+        else:
+            self._fire(item)
+        while queue and dead(queue[0][2]):
+            queue.popleft()
+        if queue:
+            head = queue[0]
+            sim = self._engine._sim
+            heapq.heappush(sim._queue, (head[0], head[1], self._sweep, ()))
+            sim._live += 1
+        else:
+            self._armed = False
 
 
 class _Membership:
@@ -296,6 +400,9 @@ class ColumnarEngine:
         # Serving-layer admission state (repro.chord.admission), one
         # slot per row; all-None = unlimited capacity, the paper's model.
         self.adm: List = []
+        # Pre-drawn crash time, known from the moment _ev_kill is pushed
+        # (inf while no kill is scheduled).
+        self.death_at: List[float] = []
 
         self.order: List[int] = []  # population rows, insertion order
         self._used_ids: set = set()
@@ -320,18 +427,14 @@ class ColumnarEngine:
         self.phantom = 0  # queued stand-ins for object-cancelled events
         self._future_elided: List[float] = []  # beyond-horizon reply times
 
-        # Route-GC calendar: the constant gc delay makes expirations
-        # FIFO, so instead of one heap event per accepted forward we
-        # keep (expire, seq, row, token) in a deque and chain a single
-        # sweep event through it, re-using each entry's burned seq so
-        # (time, seq) of any GC event that actually fires matches the
-        # object kernel exactly.
-        self._gc_queue: deque = deque()
-        self._gc_armed = False
+        # Constant-delay timers (see _Calendar): forward-state GC per
+        # accepted forward, attempt timeout per lookup.
+        self._gc = _Calendar(self, self._gc_dead, self._gc_fire)
+        self._lt = _Calendar(self, self._lt_dead, self._lt_fire)
 
-        # Verme finger-target memo for terminal verification: the 64
-        # targets of an initiator id, computed once per row on demand.
-        self._ftargets: Dict[int, frozenset] = {}
+        # Tokens with a second chain (born at a late per-hop ack): their
+        # replies and terminal GC are never computed ahead.
+        self._forked: set = set()
 
         self.population = _Membership(self)
 
@@ -445,6 +548,7 @@ class ColumnarEngine:
         self.cand_sver.append(-1)
         factory = self._adm_factory
         self.adm.append(factory() if factory is not None else None)
+        self.death_at.append(math.inf)
         return row
 
     def build(self, num_nodes: int, rngs: RngRegistry) -> None:
@@ -586,9 +690,13 @@ class ColumnarEngine:
         alive node, in population order."""
         self._churn_rng = rng
         self._mean_lifetime = mean_lifetime_s
-        cb = self._ev_kill
         for row in list(self.order):
-            self._push(rng.expovariate(1.0 / mean_lifetime_s), cb, (row,))
+            self._push_kill(row)
+
+    def _push_kill(self, row: int) -> None:
+        lifetime = self._churn_rng.expovariate(1.0 / self._mean_lifetime)
+        self.death_at[row] = self._sim._now + lifetime  # == the event's time
+        self._push(lifetime, self._ev_kill, (row,))
 
     def set_admission(self, factory) -> None:
         """Install a per-node admission factory (call before build):
@@ -1014,31 +1122,25 @@ class ColumnarEngine:
         st.kind = kind
         st.k = k
         st.done_cb = done_cb
-        seq = sim._next_seq
-        sim._next_seq = seq + 1
-        heapq.heappush(
-            sim._queue, (sim._now + self._lookup_to, seq, self._ev_lt, (st,))
-        )
-        sim._live += 1
+        self._arm_timeout(st)
         self._attempt(st)
 
-    def _ev_lt(self, st: _Lookup) -> None:
-        # Attempt timeout.  _finish and crash both cancel this in the
-        # object engine, so a stale pop is always a phantom.
-        row = st.row
-        if st.token is None or st.token not in self.lookups[row]:
-            self.phantom += 1
-            return
-        if st.attempts > self._retries:
-            self._finish(st, None, 0, "timeout", None)
-            return
+    def _arm_timeout(self, st: _Lookup) -> None:
         sim = self._sim
         seq = sim._next_seq
         sim._next_seq = seq + 1
-        heapq.heappush(
-            sim._queue, (sim._now + self._lookup_to, seq, self._ev_lt, (st,))
-        )
-        sim._live += 1
+        self._lt.add(sim._now + self._lookup_to, seq, st)
+
+    def _lt_dead(self, st: _Lookup) -> bool:
+        # _finish and crash both cancel the attempt timeout in the
+        # object engine.
+        return st.token is None or st.token not in self.lookups[st.row]
+
+    def _lt_fire(self, st: _Lookup) -> None:
+        if st.attempts > self._retries:
+            self._finish(st, None, 0, "timeout", None)
+            return
+        self._arm_timeout(st)
         self._attempt(st)
 
     def _attempt(self, st: _Lookup) -> None:
@@ -1086,7 +1188,11 @@ class ColumnarEngine:
                 return
         self._finish(st, entries, 0, None, None)
 
-    def _finish(self, st, entries, hops, error, app_payload) -> None:
+    def _finish(self, st, entries, hops, error, app_payload, tail=False) -> None:
+        """Complete a lookup: its ``_ev_done`` is a zero-delay event.
+        ``tail`` says the calling event does nothing after this call;
+        if, besides, nothing queued shares ``now``, ``_ev_done`` would
+        be the very next event to run, so it runs here instead."""
         row = st.row
         if st.token is not None:
             self.lookups[row].pop(st.token, None)
@@ -1095,8 +1201,17 @@ class ColumnarEngine:
         latency = sim._now - st.started_at
         seq = sim._next_seq
         sim._next_seq = seq + 1
+        queue = sim._queue
+        if (
+            tail
+            and sim._run_until is not None
+            and (not queue or queue[0][0] != sim._now)
+        ):
+            self.elided += 1
+            self._ev_done(st, success, entries, latency, hops, error, app_payload)
+            return
         heapq.heappush(
-            sim._queue,
+            queue,
             (sim._now, seq, self._ev_done, (st, success, entries, latency, hops, error, app_payload)),
         )
         sim._live += 1
@@ -1136,11 +1251,7 @@ class ColumnarEngine:
         # ChurnDriver._joined(ok=True)
         self.joins += 1
         self.order.append(row)
-        self._push(
-            self._churn_rng.expovariate(1.0 / self._mean_lifetime),
-            self._ev_kill,
-            (row,),
-        )
+        self._push_kill(row)
         inv = OBS.invariants
         if inv is not None:
             inv.note_membership(self._sim)
@@ -1257,14 +1368,7 @@ class ColumnarEngine:
                 return "join lookup for a foreign id"
             return None
         if purpose == _P_FINGER:
-            targets = self._ftargets.get(init_row)
-            if targets is None:
-                layout = self._layout
-                targets = frozenset(
-                    verme_finger_target(layout, cert_id, k) for k in range(self._bits)
-                )
-                self._ftargets[init_row] = targets
-            if key not in targets:
+            if not is_verme_finger_target(self._layout, cert_id, key):
                 return "key is not a finger target of the certified id"
             return None
         verifier = self._dht_verifier(term_row)
@@ -1382,6 +1486,10 @@ class ColumnarEngine:
             else:
                 heapq.heappush(self._future_elided, t)
         else:
+            # Late ack: the sender's failure timer will re-route while
+            # this node routes on — the one place a token's second
+            # chain is born.
+            self._forked.add(params[1])
             heapq.heappush(sim._queue, (t, seq, self._ev_noop, (src_row,)))
             heapq.heappush(
                 sim._queue,
@@ -1418,23 +1526,7 @@ class ColumnarEngine:
                 verdict, self._ev_fwd_proc, (dst_row, src_row, params, category, op_tag)
             )
             return
-        if params[2] == _REC:
-            token = params[1]
-            fwd = self.forwards[dst_row]
-            if token in fwd:
-                return  # duplicate
-            gseq = sim._next_seq
-            sim._next_seq = gseq + 1
-            self._gc_queue.append((sim._now + self._gc_s, gseq, dst_row, token))
-            if not self._gc_armed:
-                self._gc_armed = True
-                heapq.heappush(
-                    sim._queue,
-                    (sim._now + self._gc_s, gseq, self._ev_gc_sweep, ()),
-                )
-                sim._live += 1
-            fwd[token] = (src_row, params)
-        self._continue_forward(dst_row, params, src_row, _NO_EXCLUDE, category, op_tag)
+        self._accept_forward(dst_row, src_row, params, category, op_tag)
 
     def _ev_fwd_proc(
         self, dst_row: int, src_row: int, params: tuple, category: str, op_tag
@@ -1444,29 +1536,53 @@ class ColumnarEngine:
         if not self.alive[dst_row]:
             return
         self.adm[dst_row].release()
-        sim = self._sim
+        self._accept_forward(dst_row, src_row, params, category, op_tag)
+
+    def _accept_forward(
+        self, row: int, upstream: int, params: tuple, category: str, op_tag
+    ) -> None:
+        """Recursive bookkeeping (forward state + its GC timer), then
+        route.  The GC seq is burned either way; where the chain ends
+        here on an unforked token, nothing can observe the entry again
+        (no reply passes through, no second forward arrives), so its GC
+        event is counted instead of queued — unless the row's crash
+        comes first and cancels it, as in the object engine."""
+        decision = None
         if params[2] == _REC:
             token = params[1]
-            fwd = self.forwards[dst_row]
+            fwd = self.forwards[row]
             if token in fwd:
                 return  # duplicate
+            decision = self._route_next(row, params[0], _NO_EXCLUDE)
+            sim = self._sim
             gseq = sim._next_seq
             sim._next_seq = gseq + 1
-            self._gc_queue.append((sim._now + self._gc_s, gseq, dst_row, token))
-            if not self._gc_armed:
-                self._gc_armed = True
-                heapq.heappush(
-                    sim._queue,
-                    (sim._now + self._gc_s, gseq, self._ev_gc_sweep, ()),
-                )
-                sim._live += 1
-            fwd[token] = (src_row, params)
-        self._continue_forward(dst_row, params, src_row, _NO_EXCLUDE, category, op_tag)
+            expire = sim._now + self._gc_s
+            h = sim._run_until
+            if decision[2] is None and h is not None and token not in self._forked:
+                if expire < self.death_at[row]:
+                    if expire <= h:
+                        self.elided += 1
+                    else:
+                        heapq.heappush(self._future_elided, expire)
+            else:
+                fwd[token] = (upstream, params, expire)
+                self._gc.add(expire, gseq, (row, token, expire))
+        self._continue_forward(
+            row, params, upstream, _NO_EXCLUDE, category, op_tag, decision
+        )
 
     def _continue_forward(
-        self, row: int, params: tuple, upstream: int, exclude, category: str, op_tag
+        self,
+        row: int,
+        params: tuple,
+        upstream: int,
+        exclude,
+        category: str,
+        op_tag,
+        decision: Optional[tuple] = None,
     ) -> None:
-        done, owner_self, nxt = self._route_next(row, params[0], exclude)
+        done, owner_self, nxt = decision or self._route_next(row, params[0], exclude)
         if done:
             self._terminate_route(row, params, upstream, owner_self, category, op_tag)
             return
@@ -1557,33 +1673,17 @@ class ColumnarEngine:
             return
         self._continue_forward(src_row, params, upstream, exclude, category, op_tag)
 
-    def _ev_gc_sweep(self) -> None:
-        # Fires with the head entry's exact (expire, seq).  The head is
-        # either a leaked forward (object's GC event fires: pop it) or
-        # was cancelled after this sweep was armed (object's cancelled
-        # handle: this kernel event stands in, so count a phantom).
-        queue = self._gc_queue
-        _expire, _seq, row, token = queue.popleft()
-        if self.forwards[row].pop(token, None) is None:
-            self.phantom += 1
-        # Entries already cancelled *now* stay cancelled forever (tokens
-        # are never reused), so drop them without scheduling anything —
-        # the object kernel pops their cancelled handles silently.
-        forwards = self.forwards
-        while queue:
-            entry = queue[0]
-            if entry[3] in forwards[entry[2]]:
-                break
-            queue.popleft()
-        if queue:
-            entry = queue[0]
-            sim = self._sim
-            heapq.heappush(
-                sim._queue, (entry[0], entry[1], self._ev_gc_sweep, ())
-            )
-            sim._live += 1
-        else:
-            self._gc_armed = False
+    def _gc_dead(self, item: tuple) -> bool:
+        # The reply passed back through (or the row crashed): the object
+        # engine cancelled this forward-state GC handle.  A forked
+        # token's second chain may have registered the row afresh since;
+        # that state has its own, later, expiry.
+        row, token, expire = item
+        fwd = self.forwards[row].get(token)
+        return fwd is None or fwd[2] != expire
+
+    def _gc_fire(self, item: tuple) -> None:
+        del self.forwards[item[0]][item[1]]  # a leaked forward expires
 
     def _terminate_route(
         self, row: int, params: tuple, upstream: int, owner_self: bool, category: str, op_tag
@@ -1632,20 +1732,59 @@ class ColumnarEngine:
                 return
         else:
             dst = upstream
+        self._send_result(row, dst, rparams, category, op_tag)
+
+    def _send_result(
+        self, src_row: int, dst_row: int, rparams: tuple, category: str, op_tag
+    ) -> None:
+        """Send a route_result one hop — and, while the outcome of the
+        next relay's ``_ev_res`` is already determined, the hops after
+        it: same seq burn, same bytes, same float additions per hop as
+        the relay event would have made, ``elided`` instead of a kernel
+        event.  One ``_ev_res`` is queued at the first hop that fails a
+        guard (see the module docstring's table)."""
         sim = self._sim
-        seq = sim._next_seq
-        sim._next_seq = seq + 1
-        self._acct_b[category] += size
-        self._acct_m[category] += 1
-        if op_tag is not None:
-            self._acct_o[op_tag] += size
-        t = sim._now + (
-            self._latency(self.host[row], self.host[dst])
-            if self._bw is None
-            else self._delay(self.host[row], self.host[dst], size)
-        )
-        heapq.heappush(sim._queue, (t, seq, self._ev_res, (dst, rparams, category, op_tag)))
-        sim._live += 1
+        now = sim._now
+        token = rparams[0]
+        size = rparams[6]
+        h = sim._run_until
+        collapse = h is not None and token not in self._forked
+        initiator = token[0]
+        host = self.host
+        acct_b = self._acct_b
+        acct_m = self._acct_m
+        while True:
+            seq = sim._next_seq
+            sim._next_seq = seq + 1
+            acct_b[category] += size
+            acct_m[category] += 1
+            if op_tag is not None:
+                self._acct_o[op_tag] += size
+            t = now + (
+                self._latency(host[src_row], host[dst_row])
+                if self._bw is None
+                else self._delay(host[src_row], host[dst_row], size)
+            )
+            if (
+                collapse
+                and t <= h
+                and dst_row != initiator
+                and t < self.death_at[dst_row]
+            ):
+                fwds = self.forwards[dst_row]
+                fwd = fwds.get(token)
+                if fwd is not None and t < fwd[2]:
+                    del fwds[token]
+                    self.elided += 1
+                    src_row = dst_row
+                    dst_row = fwd[0]
+                    now = t
+                    continue
+            heapq.heappush(
+                sim._queue, (t, seq, self._ev_res, (dst_row, rparams, category, op_tag))
+            )
+            sim._live += 1
+            return
 
     def _ev_res(self, dst_row: int, rparams: tuple, category: str, op_tag) -> None:
         if not self.alive[dst_row]:
@@ -1660,41 +1799,25 @@ class ColumnarEngine:
         if fwd is None:
             return  # stale / GC'ed
         # relay upstream (the gc calendar entry is now stale)
-        upstream = fwd[0]
-        sim = self._sim
-        seq = sim._next_seq
-        sim._next_seq = seq + 1
-        size = rparams[6]
-        self._acct_b[category] += size
-        self._acct_m[category] += 1
-        if op_tag is not None:
-            self._acct_o[op_tag] += size
-        t = sim._now + (
-            self._latency(self.host[dst_row], self.host[upstream])
-            if self._bw is None
-            else self._delay(self.host[dst_row], self.host[upstream], size)
-        )
-        heapq.heappush(
-            sim._queue, (t, seq, self._ev_res, (upstream, rparams, category, op_tag))
-        )
-        sim._live += 1
+        self._send_result(dst_row, fwd[0], rparams, category, op_tag)
 
     def _initiator_result(self, st: _Lookup, rparams: tuple) -> None:
+        # Last act of _ev_res: every _finish below is in tail position.
         ok = rparams[1]
         if not ok:
             error = rparams[4]
             if error is not None and error.startswith("shed:"):
                 # Definitive rejection: fail fast, no retries (mirrors
                 # ChordNode._initiator_result's shed branch).
-                self._finish(st, None, 0, error, None)
+                self._finish(st, None, 0, error, None, tail=True)
                 return
             if st.attempts > self._retries:
-                self._finish(st, None, 0, rparams[4] or "failed", None)
+                self._finish(st, None, 0, rparams[4] or "failed", None, tail=True)
             else:
                 self._retry(st)
             return
         entries = list(rparams[2])
-        self._finish(st, entries, rparams[5], None, rparams[3])
+        self._finish(st, entries, rparams[5], None, rparams[3], tail=True)
 
     # -- snapshots -----------------------------------------------------------
 

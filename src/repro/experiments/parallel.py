@@ -34,11 +34,9 @@ entry point.
 from __future__ import annotations
 
 import multiprocessing
-import resource
-import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import OBS, run_cell_collected
+from ..obs import OBS, peak_rss_kib, run_cell_collected
 from ..worm.model import InfectionCurve
 from ..worm.scenarios import SCENARIOS, WormRunResult, WormScenarioConfig
 from .ablations import (
@@ -71,14 +69,6 @@ Cell = Tuple[Callable[..., Any], Tuple[Any, ...]]
 _last_worker_rss_kib: Dict[str, int] = {}
 
 
-def _peak_rss_kib() -> int:
-    """High-water resident set size of this process (KiB on Linux)."""
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS
-        rss //= 1024
-    return int(rss)
-
-
 def _run_cell(cell: Cell) -> Any:
     fn, args = cell
     return fn(*args)
@@ -88,7 +78,7 @@ def _run_cell_rss(cell: Cell) -> Tuple[Any, str, int]:
     """Run one cell in a pool worker and report the worker's peak RSS."""
     fn, args = cell
     result = fn(*args)
-    return result, multiprocessing.current_process().name, _peak_rss_kib()
+    return result, multiprocessing.current_process().name, peak_rss_kib()
 
 
 def _run_cell_collected(cell: Cell) -> Tuple[Any, str, int, Dict[str, Any]]:
@@ -97,7 +87,7 @@ def _run_cell_collected(cell: Cell) -> Tuple[Any, str, int, Dict[str, Any]]:
     merging by the parent."""
     fn, args = cell
     result, snap = run_cell_collected(fn, args)
-    return result, multiprocessing.current_process().name, _peak_rss_kib(), snap
+    return result, multiprocessing.current_process().name, peak_rss_kib(), snap
 
 
 def last_worker_rss_kib() -> Dict[str, int]:
@@ -135,9 +125,7 @@ def map_cells(cells: Sequence[Cell], workers: Optional[int] = None) -> List[Any]
                 results.append(result)
         else:
             results = [fn(*args) for fn, args in cells]
-        _last_worker_rss_kib[multiprocessing.current_process().name] = (
-            _peak_rss_kib()
-        )
+        _last_worker_rss_kib[multiprocessing.current_process().name] = peak_rss_kib()
         return results
     pool_size = min(workers, len(cells))
     worker_fn = _run_cell_collected if registry is not None else _run_cell_rss

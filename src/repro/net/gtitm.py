@@ -22,12 +22,62 @@ minimum of the two access-link bandwidths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .latency import MatrixBandwidth, MatrixLatency
+
+if TYPE_CHECKING:  # networkx is imported where the graph is built
+    import networkx as nx
+
+#: Head nodes relaxed per step of :func:`shortest_path_matrix`.
+_RELAX_BLOCK_NODES = 64
+
+
+def shortest_path_matrix(n: int, edges: List[Tuple[int, int, float]]) -> np.ndarray:
+    """All-pairs shortest-path lengths of an undirected weighted graph
+    on nodes ``0..n-1``: relax the edges against the whole ``(n, n)``
+    matrix, in place, until nothing improves.  Each entry settles on
+    the least float sum ``fl(D[s, u] + w)`` over paths, the same
+    left-to-right accumulation from the source that Dijkstra performs,
+    so the result is bit-identical to
+    ``networkx.all_pairs_dijkstra_path_length`` (pinned in
+    ``tests/test_topologies.py``).  Unreachable pairs stay ``inf``."""
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    if not edges:
+        return dist
+    # Both directions of every edge, grouped by head node, in blocks of
+    # whole groups small enough that a block's candidates stay a
+    # sub-megabyte temporary.
+    tails = np.array([e[0] for e in edges] + [e[1] for e in edges], dtype=np.intp)
+    heads = np.array([e[1] for e in edges] + [e[0] for e in edges], dtype=np.intp)
+    weights = np.array([e[2] for e in edges] * 2, dtype=float)
+    order = np.argsort(heads, kind="stable")
+    tails, heads, weights = tails[order], heads[order], weights[order]
+    starts = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
+    bounds = np.r_[starts, len(heads)]
+    blocks = []
+    for lo in range(0, len(starts), _RELAX_BLOCK_NODES):
+        hi = min(lo + _RELAX_BLOCK_NODES, len(starts))
+        edge = slice(bounds[lo], bounds[hi])
+        blocks.append(
+            (tails[edge], weights[edge], starts[lo:hi] - bounds[lo], heads[starts[lo:hi]])
+        )
+    changed = True
+    while changed:
+        changed = False
+        for block_tails, block_weights, block_starts, nodes in blocks:
+            # via[s, e] = D[s, tail_e] + w_e; best[s, v] = min over edges into v
+            best = np.minimum.reduceat(
+                dist[:, block_tails] + block_weights, block_starts, axis=1
+            )
+            current = dist[:, nodes]
+            if (best < current).any():
+                dist[:, nodes] = np.minimum(current, best)
+                changed = True
+    return dist
 
 
 class HostLatency:
@@ -155,14 +205,13 @@ class GtItmTopology:
     def __post_init__(self) -> None:
         routers = sorted(self.router_graph.nodes())
         index = {r: i for i, r in enumerate(routers)}
-        n_routers = len(routers)
-        dist = np.full((n_routers, n_routers), np.inf)
-        for src, lengths in nx.all_pairs_dijkstra_path_length(
-            self.router_graph, weight="latency"
-        ):
-            i = index[src]
-            for dst, d in lengths.items():
-                dist[i, index[dst]] = d
+        dist = shortest_path_matrix(
+            len(routers),
+            [
+                (index[a], index[b], w)
+                for a, b, w in self.router_graph.edges(data="latency")
+            ],
+        )
         if np.isinf(dist).any():
             raise ValueError("router graph is not connected")
         self._router_dist = dist
@@ -213,6 +262,8 @@ def gtitm_topology(config: GtItmConfig) -> GtItmTopology:
     Router node labels are ``("t", domain, i)`` for transit routers and
     ``("s", domain, i, stub, j)`` for stub routers.
     """
+    import networkx as nx  # here, not at module level: keeps it out of `import repro`
+
     rng = np.random.default_rng(config.seed)
     graph = nx.Graph()
     cfg = config

@@ -1,9 +1,9 @@
 """Lightweight profiling hooks: per-phase wall/CPU time and peak RSS.
 
-This is the third leg of :mod:`repro.obs`, unifying the timing and
-memory accounting previously scattered across the perf harness
-(``benchmarks/perf/perf_common.peak_rss_kib``) and the parallel runner
-(``repro.experiments.parallel.last_worker_rss_kib``): a
+This is the third leg of :mod:`repro.obs`.  :func:`peak_rss_kib` is
+the one implementation of the process's memory high-water mark; the
+perf harness (``benchmarks/perf/perf_common``) and the parallel runner
+(``repro.experiments.parallel``) import it from here.  A
 :class:`PhaseProfiler` brackets named phases of a run
 (``with profiler.phase("build"): ...``) and records wall seconds, CPU
 seconds, and — when a phase is given a :class:`~repro.sim.engine

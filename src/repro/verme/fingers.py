@@ -42,7 +42,12 @@ def is_verme_finger_target(layout: VermeIdLayout, node_id: int, key: int) -> boo
     (§4.5: "the node must verify if it is ... a correct finger of the id
     in the certificate").
     """
-    for k in range(layout.space.bits):
-        if verme_finger_target(layout, node_id, k) == key:
-            return True
+    # verme_finger_target(id, k) is id + 2**k, possibly displaced by one
+    # section length: only those two distances can name a k.
+    wrap = layout.space.wrap
+    distance = wrap(key - node_id)
+    for d in (distance, wrap(distance - layout.section_length)):
+        if d and not d & (d - 1):
+            if verme_finger_target(layout, node_id, d.bit_length() - 1) == key:
+                return True
     return False

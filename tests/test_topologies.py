@@ -149,3 +149,81 @@ def test_gtitm_intrastub_cheaper_than_interdomain(topo):
                 cross_domain.append(topo.latency.latency(a, b))
     assert same_stub and cross_domain
     assert np.mean(same_stub) < np.mean(cross_domain)
+
+
+# -- router distances: numpy relaxation vs networkx Dijkstra -----------------------
+
+
+def _dijkstra_matrix(graph):
+    import networkx as nx
+
+    routers = sorted(graph.nodes())
+    index = {r: i for i, r in enumerate(routers)}
+    dist = np.full((len(routers), len(routers)), np.inf)
+    for src, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="latency"):
+        for dst, d in lengths.items():
+            dist[index[src], index[dst]] = d
+    return dist
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        GtItmConfig(num_hosts=20, seed=0),
+        GtItmConfig(num_hosts=20, seed=1),
+        GtItmConfig(num_hosts=20, seed=12345),
+        GtItmConfig(
+            num_hosts=10, transit_domains=2, transit_nodes_per_domain=3,
+            stubs_per_transit_node=2, stub_nodes_per_stub=3, seed=4,
+        ),
+        GtItmConfig(
+            num_hosts=10, transit_domains=1, transit_nodes_per_domain=5,
+            stubs_per_transit_node=1, stub_nodes_per_stub=11,
+            latency_jitter=0.9, seed=5,
+        ),
+        GtItmConfig(
+            num_hosts=10, transit_domains=7, transit_nodes_per_domain=2,
+            stubs_per_transit_node=4, stub_nodes_per_stub=4, seed=6,
+        ),
+    ],
+    ids=lambda c: f"seed{c.seed}-{c.transit_domains}x{c.transit_nodes_per_domain}",
+)
+def test_gtitm_router_distances_bit_identical_to_dijkstra(config):
+    """fig6/7 goldens rest on this: the relaxation's float fixpoint is
+    the matrix networkx's Dijkstra produced, bit for bit."""
+    topo = gtitm_topology(config)
+    assert np.array_equal(topo._router_dist, _dijkstra_matrix(topo.router_graph))
+
+
+def test_shortest_path_matrix_without_edges():
+    from repro.net.gtitm import shortest_path_matrix
+
+    dist = shortest_path_matrix(3, [])
+    assert np.array_equal(np.isinf(dist), ~np.eye(3, dtype=bool))
+
+
+def test_gtitm_disconnected_router_graph_rejected():
+    from repro.net.gtitm import GtItmTopology
+
+    topo = gtitm_topology(GtItmConfig(num_hosts=8, seed=2))
+    graph = topo.router_graph.copy()
+    graph.remove_edges_from(list(graph.edges(("t", 0, 0))))
+    with pytest.raises(ValueError, match="not connected"):
+        GtItmTopology(
+            topo.config, graph, topo.host_router, topo.host_down_bw, topo.host_up_bw
+        )
+
+
+def test_importing_repro_does_not_import_networkx():
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = "import sys, repro; sys.exit('networkx' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=False
+    )
+    assert done.returncode == 0

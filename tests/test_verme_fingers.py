@@ -96,3 +96,58 @@ def test_far_finger_into_opposite_type_section_unshifted():
     raw = SPACE.wrap(node_id + (1 << k))
     assert LAYOUT.type_of(raw) != LAYOUT.type_of(node_id)
     assert verme_finger_target(LAYOUT, node_id, k) == raw
+
+
+# -- O(1) verification vs the definition ------------------------------------------
+
+
+def _is_target_by_definition(layout, node_id, key):
+    return any(
+        verme_finger_target(layout, node_id, k) == key
+        for k in range(layout.space.bits)
+    )
+
+
+@st.composite
+def _layout_id_key(draw):
+    """Random layouts (including multi-bit type fields), ids, and keys
+    biased to the interesting neighbourhood: exact targets (displaced
+    and wrapped ones included), raw ``id + 2**k`` sums that were
+    displaced away, and their off-by-one / off-by-a-section cousins."""
+    bits = draw(st.integers(min_value=6, max_value=64))
+    type_bits = draw(st.integers(min_value=1, max_value=min(3, bits - 3)))
+    section_bits = draw(st.integers(min_value=1, max_value=bits - type_bits - 1))
+    layout = VermeIdLayout(IdSpace(bits), section_bits, type_bits)
+    size = layout.space.size
+    node_id = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=size - 1),
+            st.integers(min_value=1, max_value=8).map(lambda d: size - d),  # wrap
+        )
+    )
+    k = draw(st.integers(min_value=0, max_value=bits - 1))
+    base = draw(
+        st.sampled_from(
+            [verme_finger_target(layout, node_id, k), node_id + (1 << k)]
+        )
+    )
+    nudge = draw(
+        st.sampled_from(
+            [0, 0, 1, -1, layout.section_length, -layout.section_length]
+        )
+    )
+    key = draw(
+        st.one_of(
+            st.just(layout.space.wrap(base + nudge)),
+            st.integers(min_value=0, max_value=size - 1),
+        )
+    )
+    return layout, node_id, key
+
+
+@given(_layout_id_key())
+def test_is_finger_target_matches_brute_force(case):
+    layout, node_id, key = case
+    assert is_verme_finger_target(layout, node_id, key) == _is_target_by_definition(
+        layout, node_id, key
+    )
