@@ -15,11 +15,16 @@ repository root (override with ``--out``).  The record schema is what
   cross-machine diffs can be recognised and discounted;
 * ``parameters`` — the workload knobs; records with different
   parameters are not comparable and ``compare_bench.py`` refuses them.
+
+A record is also rejected as degenerate when any measurement or metric
+is non-finite, when it counts no events, or when a ``*lookups`` metric
+is zero: such a run measured nothing, whatever its wall clock says.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import sys
@@ -107,6 +112,19 @@ def validate_record(record: Any) -> None:
         )
     if record["wall_clock_s"] <= 0:
         raise ValueError("wall_clock_s must be positive")
+    metrics = record.get("metrics", {})
+    numbers = {"wall_clock_s": record["wall_clock_s"],
+               "events_per_s": record["events_per_s"], **metrics}
+    for field, value in numbers.items():
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{field} is not finite ({value})")
+    # A record that measured no work is degenerate, however fast it ran.
+    if record["events"] <= 0:
+        raise ValueError("events must be positive (the run did nothing)")
+    for field, value in metrics.items():
+        is_lookups = field == "lookups" or field.endswith((".lookups", "_lookups"))
+        if is_lookups and value <= 0:
+            raise ValueError(f"{field} is {value}: the run completed no lookups")
 
 
 def write_record(record: Dict[str, Any], out: Optional[str] = None) -> Path:

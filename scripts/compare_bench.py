@@ -6,7 +6,8 @@ Modes::
     # Gate: exit 1 if `current` regressed >15% vs `baseline`
     python scripts/compare_bench.py BENCH_kernel.baseline.json BENCH_kernel.json
 
-    # Schema check only (CI smoke): exit 2 on malformed records
+    # Schema check only (CI smoke): exit 2 on malformed or degenerate
+    # records (non-finite metrics, no events, zero lookups)
     python scripts/compare_bench.py --check BENCH_kernel.json BENCH_fig5.json
 
     # Engine-equivalence: exit 1 unless both records report identical
@@ -48,6 +49,16 @@ def load_record(path: str) -> dict:
     return record
 
 
+def parameter_diff(baseline: dict, current: dict) -> str:
+    """One ``  key: old -> new`` line per parameter that differs."""
+    missing = "<missing>"
+    return "\n".join(
+        f"  {key}: {baseline.get(key, missing)!r} -> {current.get(key, missing)!r}"
+        for key in sorted(set(baseline) | set(current))
+        if baseline.get(key, missing) != current.get(key, missing)
+    )
+
+
 def compare(baseline: dict, current: dict, threshold: float) -> list[str]:
     """Return a list of regression messages (empty = pass)."""
     if baseline["name"] != current["name"]:
@@ -57,8 +68,9 @@ def compare(baseline: dict, current: dict, threshold: float) -> list[str]:
         )
     if baseline["parameters"] != current["parameters"]:
         raise ValueError(
-            f"records of {baseline['name']!r} ran with different parameters: "
-            f"{baseline['parameters']} vs {current['parameters']}"
+            f"records of {baseline['name']!r} ran with different parameters "
+            "(baseline -> current):\n"
+            + parameter_diff(baseline["parameters"], current["parameters"])
         )
     if baseline["machine"] != current["machine"]:
         print(

@@ -95,6 +95,7 @@ from __future__ import annotations
 import gc
 import heapq
 import math
+import random
 from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
@@ -111,7 +112,7 @@ from ..net.message import (
 )
 from ..net.network import CAUSE_DEAD, Network
 from ..obs import OBS
-from ..sim import RngRegistry, Simulator
+from ..sim import RngRegistry, Simulator, derive_seed
 from ..verme.fingers import is_verme_finger_target, verme_finger_target
 from .config import OverlayConfig
 from .lookup import LookupStyle
@@ -391,7 +392,6 @@ class ColumnarEngine:
         self.tok: List[int] = []  # per-row token counters
         self.lookups: List[dict] = []  # {token: _Lookup}
         self.forwards: List[dict] = []  # {token: (upstream_row, params)}
-        self.jitter: List[object] = []
         # Routing-candidate cache (mirrors the object node's bisect cache).
         self.cand_keys: List[Optional[list]] = []
         self.cand_infos: List[Optional[list]] = []
@@ -507,7 +507,6 @@ class ColumnarEngine:
     # -- build: id draws, bootstrap, timer starts ---------------------------
 
     def _create_row(self, host: int, inc: int) -> int:
-        rngs = self._rngs
         idrng = self._id_rng
         used = self._used_ids
         if self._verme:
@@ -541,7 +540,6 @@ class ColumnarEngine:
         self.tok.append(0)
         self.lookups.append({})
         self.forwards.append({})
-        self.jitter.append(rngs.stream(f"jitter-{host}-{inc}"))
         self.cand_keys.append(None)
         self.cand_infos.append(None)
         self.cand_fver.append(-1)
@@ -566,10 +564,19 @@ class ColumnarEngine:
         cb_fing = self._ev_fing
         for row in range(num_nodes):
             self.alive[row] = 1
-            jr = self.jitter[row]
+            jr = self.jitter_stream(row)
             self._push(self._stab_interval * jr.random(), cb_stab, (row,))
             self._push(self._fing_interval * jr.random(), cb_fing, (row,))
             self.order.append(row)
+
+    def jitter_stream(self, row: int) -> random.Random:
+        """A fresh copy of the row's incarnation jitter stream (the
+        object factory's ``rngs.stream(f"jitter-{host}-{inc}")``).  It
+        is derived unregistered: the engine draws the two timer phases
+        from it and drops it, so neither the registry nor the engine
+        holds one Mersenne-Twister state per incarnation."""
+        name = f"jitter-{self.host[row]}-{self.inc[row]}"
+        return random.Random(derive_seed(self._rngs.root_seed, name))
 
     def _instant_bootstrap(self, n: int) -> None:
         ids = self.node_id
@@ -1243,7 +1250,7 @@ class ColumnarEngine:
             )
             return
         self._replace_succ(row, entries)
-        jr = self.jitter[row]
+        jr = self.jitter_stream(row)
         self._push(self._stab_interval * jr.random(), self._ev_stab, (row,))
         self._push(self._fing_interval * jr.random(), self._ev_fing, (row,))
         self._stabilize(row)

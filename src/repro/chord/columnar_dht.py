@@ -108,7 +108,10 @@ class ColumnarNodeAdapter:
         self.space = self.config.space
         self.node_id = engine.node_id[row]
         self.address = NodeAddress(engine.host[row], engine.inc[row])
-        self._jitter_rng = engine.jitter[row]
+        # The engine drew the two timer phases from this stream at build.
+        self._jitter_rng = engine.jitter_stream(row)
+        self._jitter_rng.random()
+        self._jitter_rng.random()
         self._self_info = NodeInfo(self.node_id, self.address)
         self.layout = engine._layout
         if engine.certs is not None:

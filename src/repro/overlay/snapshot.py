@@ -33,7 +33,7 @@ from ..net.addressing import NodeAddress
 from ..verme.fingers import verme_finger_target
 
 #: Row batches above this are processed in chunks by the vectorised
-#: knowledge path so the (rows x candidates^2) dedup mask stays small.
+#: knowledge path so its (rows x candidates) matrices stay small.
 _BATCH_CHUNK = 16384
 
 
@@ -128,12 +128,32 @@ class StaticOverlay:
         count = min(count, n - 1)
         return [self.infos[(index - 1 - j) % n] for j in range(count)]
 
+    # Each routing rule is stated twice, side by side: a scalar form
+    # over plain ints (the NodeInfo / reference path) and an array form
+    # over ``uint64`` ids (the batched knowledge path).  Array forms take
+    # ``x`` as the (m,) node ids and return (m, k) matrices.
+
     def owner(self, key: int) -> OwnerDecision:
         """Chord: a key is owned by its successor, unconditionally."""
         return OwnerDecision(self.successor_index(key), False)
 
+    def _owners_np(self, targets):
+        """Array :meth:`owner`: the successor index of every target."""
+        return self._ids_numpy().searchsorted(targets) % len(self.ids)
+
     def finger_target(self, node_id: int, k: int) -> int:
         return self.space.power_of_two_target(node_id, k)
+
+    def _finger_targets_np(self, x, steps):
+        """Array :meth:`finger_target`: ``x + 2**k`` for every ``2**k``
+        in ``steps``, wrapped onto the ring."""
+        return self._wrap_np(x[:, None] + steps[None, :])
+
+    def _wrap_np(self, values):
+        """``uint64`` arithmetic wraps at 2**64; narrower rings mask."""
+        if self.space.bits < 64:
+            values &= np.uint64(self.space.mask)
+        return values
 
     def maintained_finger_indices(self, index: int) -> List[int]:
         """Finger numbers not covered by the node's first successor."""
@@ -161,6 +181,10 @@ class StaticOverlay:
     def _finger_entry_allowed(self, node_id: int, owner_id: int) -> bool:
         """May ``owner_id`` be stored as a finger of ``node_id``?
         (Verme refuses containment-violating entries.)"""
+        return True
+
+    def _finger_allowed_np(self, x, owner_ids):
+        """Array :meth:`_finger_entry_allowed` (broadcastable mask)."""
         return True
 
     def replica_group(self, key: int, count: int) -> List[NodeInfo]:
@@ -198,20 +222,8 @@ class StaticOverlay:
         ``NodeInfo`` materialisation or ``index_of`` lookups.  This is
         the worm-knowledge hot path.
         """
+        out, seen = self._neighbour_indices(index, num_successors, num_predecessors)
         ids = self.ids
-        n = len(ids)
-        out: List[int] = []
-        seen = set()
-        for j in range(1, min(num_successors, n - 1) + 1):
-            i = (index + j) % n
-            if i not in seen:
-                seen.add(i)
-                out.append(i)
-        for j in range(1, min(num_predecessors, n - 1) + 1):
-            i = (index - j) % n
-            if i not in seen:
-                seen.add(i)
-                out.append(i)
         node_id = ids[index]
         finger_target = self.finger_target
         owner = self.owner
@@ -224,6 +236,21 @@ class StaticOverlay:
                 out.append(oi)
         return out
 
+    def _neighbour_indices(
+        self, index: int, num_successors: int, num_predecessors: int
+    ) -> tuple[List[int], set]:
+        """Successor then predecessor indices, first occurrence only,
+        plus the set of indices already listed."""
+        n = len(self.ids)
+        out = [(index + j) % n for j in range(1, min(num_successors, n - 1) + 1)]
+        seen = set(out)
+        for j in range(1, min(num_predecessors, n - 1) + 1):
+            i = (index - j) % n
+            if i not in seen:
+                seen.add(i)
+                out.append(i)
+        return out, seen
+
     def _ids_numpy(self):
         """The sorted id list as a cached ``uint64`` array (ids fit by
         the ``bits <= 64`` guard of the callers)."""
@@ -233,19 +260,6 @@ class StaticOverlay:
             self._ids_np = arr
         return arr
 
-    def _can_batch_routing(self) -> bool:
-        """The vectorised path hard-codes plain-Chord semantics, so it
-        only runs when no subclass overrides them."""
-        cls = type(self)
-        return (
-            np is not None
-            and self.space.bits <= 64
-            and cls.owner is StaticOverlay.owner
-            and cls.finger_target is StaticOverlay.finger_target
-            and cls._finger_entry_allowed is StaticOverlay._finger_entry_allowed
-            and cls.maintained_finger_indices is StaticOverlay.maintained_finger_indices
-        )
-
     def routing_target_indices_many(
         self, indices: Sequence[int], num_successors: int, num_predecessors: int
     ):
@@ -253,14 +267,13 @@ class StaticOverlay:
 
         Returns ``(flat, counts)`` where ``flat`` is the concatenation
         of each node's target list (row-major, exact per-node order
-        preserved) and ``counts[r]`` is the length of row ``r``.  On
-        plain Chord overlays the whole batch is vectorised with numpy
-        (``searchsorted`` for finger owners, a candidate matrix with a
-        triangular equality mask for first-occurrence dedup); subclasses
-        with different ownership/finger rules fall back to the scalar
-        path per node.
+        preserved) and ``counts[r]`` is the length of row ``r``.  The
+        batch is vectorised with numpy through the class's array rules
+        (``_finger_targets_np``, ``_owners_np``, ``_finger_allowed_np``),
+        so one kernel serves every overlay class.  Without numpy, or on
+        rings wider than 64 bits, it falls back to the scalar path.
         """
-        if not self._can_batch_routing():
+        if np is None or self.space.bits > 64:
             flat: List[int] = []
             counts: List[int] = []
             for index in indices:
@@ -277,6 +290,12 @@ class StaticOverlay:
         idx_all = np.asarray(indices, dtype=np.int64)
         cs = min(num_successors, n - 1)
         cp = min(num_predecessors, n - 1)
+        succ_offsets = np.arange(1, cs + 1, dtype=np.int64)
+        if cp:
+            pred_offsets = np.arange(1, cp + 1, dtype=np.int64)
+            # Predecessor j sits at ring offset n - j; it repeats a
+            # successor iff that offset is within the successor list.
+            pred_keep = n - pred_offsets > cs
         flat_parts = []
         count_parts = []
         for lo in range(0, idx_all.shape[0], _BATCH_CHUNK):
@@ -285,56 +304,41 @@ class StaticOverlay:
             node_ids = ids_np[idx]
             # Successor span decides which fingers each node maintains;
             # uint64 wraparound then masking gives distance mod 2**bits.
-            spans = ids_np[(idx + 1) % n] - node_ids
-            if bits < 64:
-                spans &= np.uint64((1 << bits) - 1)
+            spans = self._wrap_np(ids_np[(idx + 1) % n] - node_ids)
             kmin = int(spans.min()).bit_length() if m else bits
             nk = max(0, bits - kmin)
             cols = cs + cp + nk
-            cand = np.full((m, cols), -1, dtype=np.int64)
-            if cs:
-                cand[:, :cs] = (
-                    idx[:, None] + np.arange(1, cs + 1, dtype=np.int64)
-                ) % n
+            cand = np.empty((m, cols), dtype=np.int64)
+            keep = np.ones((m, cols), dtype=bool)
+            cand[:, :cs] = (idx[:, None] + succ_offsets) % n
             if cp:
-                cand[:, cs : cs + cp] = (
-                    idx[:, None] - np.arange(1, cp + 1, dtype=np.int64)
-                ) % n
-            oi = None
+                cand[:, cs : cs + cp] = (idx[:, None] - pred_offsets) % n
+                keep[:, cs : cs + cp] = pred_keep
             if nk:
-                # All finger owners in one searchsorted over the
-                # (m, nk) target matrix.
+                # All finger owners in one searchsorted over the (m, nk)
+                # target matrix.
                 steps = np.uint64(1) << np.arange(kmin, bits, dtype=np.uint64)
-                active = spans[:, None] < steps[None, :]  # 2**k > span
-                targets = node_ids[:, None] + steps[None, :]
-                if bits < 64:
-                    targets &= np.uint64((1 << bits) - 1)
-                oi = ids_np.searchsorted(targets.ravel()).reshape(m, nk) % n
-                ok = active & (ids_np[oi] != node_ids[:, None])
-                cand[:, cs + cp :] = np.where(ok, oi, -1)
-            if cp == 0:
-                # Structure-aware dedup, O(m*cols): successors are
-                # distinct by construction, so only fingers need checks.
-                # A finger is a duplicate iff it is shadowed by the
-                # successor list (ring offset <= cs) or equals the
-                # previous finger column — finger owners move clockwise
-                # monotonically by less than half the ring (offsets are
-                # 2**k <= 2**(bits-1)), so equal owners are always in
-                # adjacent maintained columns.
-                keep = np.ones((m, cols), dtype=bool)
-                if nk:
-                    fkeep = cand[:, cs:] >= 0
-                    fkeep &= ((oi - idx[:, None]) % n) > cs
-                    fkeep[:, 1:] &= oi[:, 1:] != oi[:, :-1]
-                    keep[:, cs:] = fkeep
-            else:
-                # General first-occurrence dedup: drop a candidate equal
-                # to any earlier column (lower-triangular equality).
-                eq = cand[:, :, None] == cand[:, None, :]
-                dup = (eq & np.tril(np.ones((cols, cols), dtype=bool), -1)).any(
-                    axis=2
-                )
-                keep = (cand >= 0) & ~dup
+                oi = self._owners_np(self._finger_targets_np(node_ids, steps))
+                owner_ids = ids_np[oi]
+                ok = spans[:, None] < steps[None, :]  # 2**k > span
+                ok &= owner_ids != node_ids[:, None]
+                ok &= self._finger_allowed_np(node_ids, owner_ids)
+                # Dedup in O(m*cols).  A finger repeats a list entry iff
+                # its ring offset lies outside (cs, n - cp), i.e. within
+                # the successor or predecessor list; shifting offsets by
+                # cs + 1 makes that one comparison.  Finger distances
+                # grow strictly with k (a displaced 2**k + section_length
+                # stays below 2**(k+1)), and both ownership rules map a
+                # farther target to an owner no nearer along
+                # [x, x + ring), so equal owners occupy adjacent columns;
+                # refusals and self-exclusion depend on the owner alone,
+                # so comparing each masked column with its left
+                # neighbour suffices.
+                ok &= (oi - (idx[:, None] + (cs + 1))) % n < n - cs - cp - 1
+                f = np.where(ok, oi, -1)
+                ok[:, 1:] &= f[:, 1:] != f[:, :-1]
+                cand[:, cs + cp :] = oi
+                keep[:, cs + cp :] = ok
             flat_parts.append(cand[keep])
             count_parts.append(keep.sum(axis=1))
         if not flat_parts:
@@ -369,8 +373,36 @@ class VermeStaticOverlay(StaticOverlay):
             return OwnerDecision(succ_i, False)
         return OwnerDecision(self.predecessor_index(key), True)
 
+    def _owners_np(self, targets):
+        """Array :meth:`owner`: successor if in the target's section,
+        else predecessor."""
+        ids_np = self._ids_numpy()
+        n = len(ids_np)
+        sb = np.uint64(self.layout.section_bits)
+        si = ids_np.searchsorted(targets)
+        succ = si % n
+        in_section = (ids_np[succ] >> sb) == (targets >> sb)
+        return np.where(in_section, succ, (si - 1) % n)
+
     def finger_target(self, node_id: int, k: int) -> int:
         return verme_finger_target(self.layout, node_id, k)
+
+    def _finger_targets_np(self, x, steps):
+        """Array :meth:`finger_target` (:func:`verme_finger_target`): a
+        raw target outside the node's own section that lands in a
+        section of the node's type moves one section on.  (The next
+        section, which the scalar rule also exempts, always differs in
+        its type field, so the type test covers it.)"""
+        layout = self.layout
+        sb = np.uint64(layout.section_bits)
+        tmask = np.uint64(layout.num_types - 1)
+        raw = super()._finger_targets_np(x, steps)
+        own = (x >> sb)[:, None]
+        rs = raw >> sb
+        displace = (rs != own) & ((rs & tmask) == (own & tmask))
+        return np.where(
+            displace, self._wrap_np(raw + np.uint64(layout.section_length)), raw
+        )
 
     def _finger_entry_allowed(self, node_id: int, owner_id: int) -> bool:
         """In degenerate (sparsely populated) rings the owner of a
@@ -380,6 +412,57 @@ class VermeStaticOverlay(StaticOverlay):
         return self.layout.same_section(owner_id, node_id) or not self.layout.same_type(
             owner_id, node_id
         )
+
+    def _finger_allowed_np(self, x, owner_ids):
+        """Array :meth:`_finger_entry_allowed`: same section or opposite
+        type."""
+        sb = np.uint64(self.layout.section_bits)
+        tmask = np.uint64(self.layout.num_types - 1)
+        own = (x >> sb)[:, None]
+        os_ = owner_ids >> sb
+        return (os_ == own) | ((os_ & tmask) != (own & tmask))
+
+    def routing_target_indices(
+        self, index: int, num_successors: int, num_predecessors: int
+    ) -> List[int]:
+        """:meth:`StaticOverlay.routing_target_indices` with the three
+        Verme rules (displacement, corner-rule ownership, containment
+        refusal) inlined as int shifts and masks plus one ``bisect_left``
+        per finger: the singleton-cohort path, where numpy's per-call
+        overhead would lose to plain ints."""
+        out, seen = self._neighbour_indices(index, num_successors, num_predecessors)
+        ids = self.ids
+        n = len(ids)
+        layout = self.layout
+        mask = self.space.mask
+        sb = layout.section_bits
+        length = layout.section_length
+        tmask = layout.num_types - 1
+        x = ids[index]
+        span = (ids[(index + 1) % n] - x) & mask
+        if span == 0:  # single-node overlay
+            return out
+        own = x >> sb
+        own_type = own & tmask
+        for k in range(span.bit_length(), self.space.bits):
+            t = (x + (1 << k)) & mask
+            ts = t >> sb
+            if ts != own and ts & tmask == own_type:  # displacement
+                t = (t + length) & mask
+                ts = t >> sb
+            si = bisect_left(ids, t)
+            oi = si % n
+            if ids[oi] >> sb != ts:  # corner rule
+                oi = si - 1 if si else n - 1
+            owner_sec = ids[oi] >> sb
+            if (
+                oi != index
+                and oi not in seen
+                and (owner_sec == own or owner_sec & tmask != own_type)  # containment
+            ):
+                seen.add(oi)
+                out.append(oi)
+        return out
 
     def section_members(self, section_index: int) -> List[NodeInfo]:
         """All nodes whose ids fall in the given section."""
@@ -444,8 +527,9 @@ class NaiveFingerVermeOverlay(VermeStaticOverlay):
     exists to remove.  Used by the ablation benchmarks.
     """
 
-    def finger_target(self, node_id: int, k: int) -> int:
-        return self.space.power_of_two_target(node_id, k)
-
-    def _finger_entry_allowed(self, node_id: int, owner_id: int) -> bool:
-        return True
+    finger_target = StaticOverlay.finger_target
+    _finger_targets_np = StaticOverlay._finger_targets_np
+    _finger_entry_allowed = StaticOverlay._finger_entry_allowed
+    _finger_allowed_np = StaticOverlay._finger_allowed_np
+    # The inlined Verme scalar path hard-codes displacement and refusal.
+    routing_target_indices = StaticOverlay.routing_target_indices

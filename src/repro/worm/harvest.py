@@ -23,11 +23,13 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..ids.assignment import NodeType
 from ..obs import OBS
 from ..overlay.snapshot import VermeStaticOverlay
 from ..sim import Simulator
-from .knowledge import RoutingKnowledge
+from .knowledge import RoutingKnowledge, id_types, keep_types
 
 if False:  # typing only; both worm engines satisfy the interface used here
     from .simulation import WormSimulation
@@ -66,6 +68,27 @@ class ImpersonatorKnowledge:
             for i in indices
             if NodeType(layout.type_of(ids[i])) is self.victim_type
         ]
+
+    def targets_of_many(self, indices):
+        """Batched :meth:`targets_of`: one type mask over the overlay's
+        batch, with the victim type on the impersonator's row."""
+        base = self.base
+        overlay = self.overlay
+        layout = overlay.layout
+        flat, counts = overlay.routing_target_indices_many(
+            indices, base.num_successors, base.num_predecessors
+        )
+        is_imp = np.asarray(indices, dtype=np.int64) == self.impersonator_index
+        row_types = id_types(overlay, layout, indices)
+        row_types[is_imp] = int(self.victim_type)
+        return keep_types(
+            overlay,
+            layout,
+            flat,
+            counts,
+            row_types,
+            None if base.same_type_only else ~is_imp,
+        )
 
 
 class _SectionHarvester:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Protocol, Sequence
 
+import numpy as np
+
 from ..ids.sections import VermeIdLayout
 from ..overlay.snapshot import StaticOverlay, VermeStaticOverlay
 
@@ -63,40 +65,62 @@ class RoutingKnowledge:
         self.layout = layout
         self.node_types = node_types
 
-    def _type_of_index(self, index: int) -> Optional[int]:
-        if self.layout is not None:
-            return self.layout.type_of(self.overlay.ids[index])
-        if self.node_types is not None:
-            return self.node_types[index]
-        return None
-
     def targets_of(self, index: int) -> List[int]:
         indices = self.overlay.routing_target_indices(
             index, self.num_successors, self.num_predecessors
         )
         if not self.same_type_only:
             return indices
-        own_type = self._type_of_index(index)
-        return [i for i in indices if self._type_of_index(i) == own_type]
+        # Filtering needs the layout, so types are read from the ids.
+        ids = self.overlay.ids
+        sb = self.layout.section_bits
+        tmask = self.layout.num_types - 1
+        own_type = (ids[index] >> sb) & tmask
+        return [i for i in indices if (ids[i] >> sb) & tmask == own_type]
 
     def targets_of_many(self, indices):
         """Batched :meth:`targets_of`: ``(flat, counts)`` with the
         concatenated per-node target lists and each row's length.
-        Unfiltered knowledge delegates to the overlay's vectorised
-        batch extraction; type-filtered knowledge falls back to the
-        scalar path per node (the filter is per-target Python logic).
-        """
+        Extraction is the overlay's vectorised batch; type filtering is
+        one mask over ``flat``."""
+        flat, counts = self.overlay.routing_target_indices_many(
+            indices, self.num_successors, self.num_predecessors
+        )
         if not self.same_type_only:
-            return self.overlay.routing_target_indices_many(
-                indices, self.num_successors, self.num_predecessors
-            )
-        flat: List[int] = []
-        counts: List[int] = []
-        for index in indices:
-            row = self.targets_of(index)
-            flat.extend(row)
-            counts.append(len(row))
-        return flat, counts
+            return flat, counts
+        row_types = id_types(self.overlay, self.layout, indices)
+        return keep_types(self.overlay, self.layout, flat, counts, row_types)
+
+
+def id_types(overlay: StaticOverlay, layout: VermeIdLayout, indices):
+    """The id-encoded type of every overlay index in ``indices``, as a
+    ``uint64`` array (array form of ``layout.type_of``)."""
+    if overlay.space.bits > 64:
+        ids = overlay.ids
+        return np.array([layout.type_of(ids[i]) for i in indices], dtype=np.uint64)
+    ids_np = overlay._ids_numpy()
+    return (
+        ids_np[np.asarray(indices, dtype=np.int64)] >> np.uint64(layout.section_bits)
+    ) & np.uint64(layout.num_types - 1)
+
+
+def keep_types(
+    overlay: StaticOverlay,
+    layout: VermeIdLayout,
+    flat,
+    counts,
+    row_types,
+    unfiltered_rows=None,
+):
+    """Filter a ``(flat, counts)`` batch to the targets whose type is
+    their row's entry in ``row_types``; rows flagged in the optional
+    boolean ``unfiltered_rows`` keep every target."""
+    flat = np.asarray(flat, dtype=np.int64)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    keep = id_types(overlay, layout, flat) == row_types[rows]
+    if unfiltered_rows is not None:
+        keep |= unfiltered_rows[rows]
+    return flat[keep], np.bincount(rows[keep], minlength=len(counts))
 
 
 def verme_knowledge(

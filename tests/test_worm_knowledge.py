@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chord.state import NodeInfo
 from repro.ids import IdSpace, NodeType, VermeIdLayout
 from repro.net import NodeAddress
 from repro.overlay import StaticOverlay, VermeStaticOverlay
+from repro.overlay.snapshot import _BATCH_CHUNK, NaiveFingerVermeOverlay
 from repro.sim import Simulator
 from repro.worm import (
     CompromiseVerDiHarvester,
@@ -189,3 +192,176 @@ def test_harvester_rejects_bad_rate():
             sim, worm, overlay, imp_idx, NodeType.A, random.Random(5),
             rate_per_s=0.0, replicas_per_lookup=1, vulnerable_total=vuln_total,
         )
+
+
+# -- reference equality of the extraction paths ---------------------------------
+#
+# The oracle is the NodeInfo path: ``routing_entries`` (successors,
+# predecessors, ``finger_table`` through ``owner`` / ``finger_target`` /
+# ``_finger_entry_allowed``) mapped back to indices.  The integer scalar
+# path (``targets_of``) and every row of the vectorised batch
+# (``targets_of_many``) must equal it exactly, order included.
+
+OVERLAY_CLASSES = (StaticOverlay, VermeStaticOverlay, NaiveFingerVermeOverlay)
+
+
+def _ring(cls, bits, sections, type_bits, n, seed):
+    layout = VermeIdLayout.for_sections(IdSpace(bits), sections, type_bits)
+    rng = random.Random(seed)
+    ids = set()
+    while len(ids) < n:
+        ids.add(layout.random_id(rng, rng.randrange(layout.num_types)))
+    if cls is StaticOverlay:
+        return StaticOverlay.from_ids(layout.space, list(ids)), layout
+    return cls.from_ids(layout, list(ids)), layout
+
+
+def _oracle(overlay, index, ns, np_, want_type=None, layout=None):
+    rows = [
+        overlay.index_of(info.node_id)
+        for info in overlay.routing_entries(index, ns, np_)
+    ]
+    if want_type is None:
+        return rows
+    return [i for i in rows if layout.type_of(overlay.ids[i]) == want_type]
+
+
+def _split(flat, counts):
+    rows, offset = [], 0
+    for count in counts:
+        rows.append([int(i) for i in flat[offset : offset + count]])
+        offset += int(count)
+    assert offset == len(flat)
+    return rows
+
+
+def _assert_matches(knowledge, batch, expected_of):
+    expected = {i: expected_of(i) for i in set(batch)}
+    for i in set(batch):
+        assert knowledge.targets_of(i) == expected[i]
+    rows = _split(*knowledge.targets_of_many(batch))
+    assert rows == [expected[i] for i in batch]
+
+
+def _rule_firings(overlay):
+    """How often the corner rule and the containment refusal decide a
+    maintained finger anywhere on the ring (scalar rules)."""
+    corner = refused = 0
+    for index, node_id in enumerate(overlay.ids):
+        for k in overlay.maintained_finger_indices(index):
+            decision = overlay.owner(overlay.finger_target(node_id, k))
+            corner += decision.via_predecessor_rule
+            owner_id = overlay.ids[decision.index]
+            refused += owner_id != node_id and not overlay._finger_entry_allowed(
+                node_id, owner_id
+            )
+    return corner, refused
+
+
+ring_shapes = st.tuples(
+    st.sampled_from(OVERLAY_CLASSES),
+    st.sampled_from([(16, 8), (32, 16), (32, 128), (64, 4096), (20, 64)]),
+    st.integers(1, 2),  # type bits
+    st.integers(1, 90),  # nodes
+    st.integers(0, 2**32),  # seed
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=ring_shapes,
+    ns=st.integers(0, 12),
+    np_=st.integers(0, 12),
+    batch_size=st.sampled_from([1, 2, 31, 32]),
+)
+def test_knowledge_paths_equal_routing_entries(shape, ns, np_, batch_size):
+    cls, (bits, sections), type_bits, n, seed = shape
+    overlay, layout = _ring(cls, bits, sections, type_bits, n, seed)
+    batch = [random.Random(seed + 1).randrange(n) for _ in range(batch_size)]
+    unfiltered = RoutingKnowledge(overlay, ns, np_)
+    _assert_matches(unfiltered, batch, lambda i: _oracle(overlay, i, ns, np_))
+    filtered = RoutingKnowledge(overlay, ns, np_, same_type_only=True, layout=layout)
+    _assert_matches(
+        filtered,
+        batch,
+        lambda i: _oracle(
+            overlay, i, ns, np_, layout.type_of(overlay.ids[i]), layout
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=ring_shapes.filter(lambda s: s[0] is not StaticOverlay),
+    victim=st.sampled_from(list(NodeType)),
+    filtered_base=st.booleans(),
+    batch_size=st.sampled_from([1, 2, 31, 32]),
+)
+def test_impersonator_batch_equals_routing_entries(
+    shape, victim, filtered_base, batch_size
+):
+    cls, (bits, sections), _, n, seed = shape
+    overlay, layout = _ring(cls, bits, sections, 1, n, seed)
+    rng = random.Random(seed + 2)
+    imp = rng.randrange(n)
+    batch = [imp] + [rng.randrange(n) for _ in range(batch_size - 1)]
+    rng.shuffle(batch)
+    base = RoutingKnowledge(
+        overlay, 10, 10, same_type_only=filtered_base, layout=layout
+    )
+    knowledge = ImpersonatorKnowledge(base, overlay, imp, victim)
+
+    def expected(i):
+        if i == imp:
+            return _oracle(overlay, i, 10, 10, int(victim), layout)
+        if filtered_base:
+            return _oracle(
+                overlay, i, 10, 10, layout.type_of(overlay.ids[i]), layout
+            )
+        return _oracle(overlay, i, 10, 10)
+
+    _assert_matches(knowledge, batch, expected)
+
+
+@pytest.mark.parametrize("cls", [VermeStaticOverlay, NaiveFingerVermeOverlay])
+def test_sparse_ring_fires_corner_rule_and_containment_refusal(cls):
+    """20 nodes over 128 sections: most sections are empty, so owners
+    come from the corner rule and (Verme only) displaced fingers land on
+    same-type foreign owners that must be refused."""
+    overlay, layout = _ring(cls, 32, 128, 1, 20, 4)
+    corner, refused = _rule_firings(overlay)
+    assert corner > 0
+    if cls is VermeStaticOverlay:
+        assert refused > 0
+    else:
+        assert refused == 0  # the ablation stores every owner
+    batch = list(range(len(overlay)))
+    imp = 7
+    knowledge = ImpersonatorKnowledge(
+        verme_knowledge(overlay, 4, 4), overlay, imp, NodeType.A
+    )
+    _assert_matches(
+        knowledge,
+        batch,
+        lambda i: _oracle(
+            overlay,
+            i,
+            4,
+            4,
+            int(NodeType.A) if i == imp else layout.type_of(overlay.ids[i]),
+            layout,
+        ),
+    )
+
+
+@pytest.mark.parametrize("cls", OVERLAY_CLASSES)
+def test_batches_longer_than_one_chunk(cls):
+    overlay, layout = _ring(cls, 64, 256, 1, 150, 9)
+    batch = [i % len(overlay) for i in range(_BATCH_CHUNK + 33)]
+    knowledge = RoutingKnowledge(overlay, 10, 10, same_type_only=True, layout=layout)
+    expected = {
+        i: _oracle(overlay, i, 10, 10, layout.type_of(overlay.ids[i]), layout)
+        for i in range(len(overlay))
+    }
+    rows = _split(*knowledge.targets_of_many(batch))
+    assert rows == [expected[i] for i in batch]
