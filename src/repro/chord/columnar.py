@@ -83,10 +83,16 @@ Equivalence argument (tested bit-for-bit in
   collide exactly.  The equivalence and golden suites have never
   observed one.
 
+The routing rules themselves — closest-preceding routing with Verme's
+corner rule and hand-back, neighbour-list merge and removal, the
+stabilize-reply candidate rule, the finger-fix range, the containment
+refusal and the entries a terminating lookup returns — are not mirrored
+here: both engines call the one copy in :mod:`repro.chord.rules`.
+
 The bootstrap (successor/predecessor/finger fill for the initial
-converged ring) is vectorized with numpy — ids sorted once, finger
-owners for all nodes resolved with a single matrix ``searchsorted`` —
-and falls back to the scalar :mod:`repro.overlay.snapshot` algorithms
+converged ring) takes its finger owners from the static overlay
+(:meth:`~repro.overlay.snapshot.StaticOverlay.finger_owners_np`, one
+matrix ``searchsorted`` for all nodes), with the overlay's scalar form
 for id spaces wider than 64 bits.
 """
 
@@ -96,7 +102,6 @@ import gc
 import heapq
 import math
 import random
-from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -112,11 +117,22 @@ from ..net.message import (
 )
 from ..net.network import CAUSE_DEAD, Network
 from ..obs import OBS
+from ..overlay.snapshot import StaticOverlay, VermeStaticOverlay
 from ..sim import RngRegistry, Simulator, derive_seed
 from ..verme.fingers import is_verme_finger_target, verme_finger_target
 from .config import OverlayConfig
 from .lookup import LookupStyle
 from .rpc import MIN_RPC_BYTES
+from .rules import (
+    entries_for_key,
+    finger_entry_allowed,
+    first_maintained_finger,
+    merge_neighbors,
+    remove_ref,
+    route_candidates,
+    route_next,
+    stabilize_candidates,
+)
 from .state import NodeInfo
 
 try:  # numpy is part of the baked toolchain, but keep a scalar fallback
@@ -150,10 +166,6 @@ _M_NOTIFY = 3  # notify (info-free reply)
 _NO_EXCLUDE: frozenset = frozenset()
 
 _WORST_CASE_BANDWIDTH = 1e4  # bytes/s; mirrors ChordNode._WORST_CASE_BANDWIDTH
-
-
-def _neg_distance(c):
-    return c[0]
 
 
 @contextmanager
@@ -324,12 +336,9 @@ class ColumnarEngine:
         self._req_extra = CERT_BYTES if self._verme else 0
         self._res_extra = SEALED_OVERHEAD_BYTES if self._verme else 0
         self._fwd_base = MIN_RPC_BYTES + ID_BYTES + self._req_extra
-        if self._verme:
-            self._shift = layout.section_bits
-            self._tmask = layout.num_types - 1
-            self._num_sections = layout.num_sections
-            self._high_bits = layout.high_bits
-            self._section_bits = layout.section_bits
+        # The overlay arguments of repro.chord.rules (None: Chord).
+        self._shift = layout.section_bits if self._verme else None
+        self._tmask = layout.num_types - 1 if self._verme else 0
 
         # Accounting dicts, bound once (Network.send inlines the same).
         acct = network.accounting
@@ -392,7 +401,8 @@ class ColumnarEngine:
         self.tok: List[int] = []  # per-row token counters
         self.lookups: List[dict] = []  # {token: _Lookup}
         self.forwards: List[dict] = []  # {token: (upstream_row, params)}
-        # Routing-candidate cache (mirrors the object node's bisect cache).
+        # Routing-candidate cache (rules.route_candidates, keyed by the
+        # fver/sver it was built from).
         self.cand_keys: List[Optional[list]] = []
         self.cand_infos: List[Optional[list]] = []
         self.cand_fver: List[int] = []
@@ -581,7 +591,6 @@ class ColumnarEngine:
     def _instant_bootstrap(self, n: int) -> None:
         ids = self.node_id
         order = sorted(range(n), key=ids.__getitem__)
-        sorted_ids = [ids[r] for r in order]
         entries_sorted = [(ids[r], r) for r in order]
         cs = min(self._num_succ, n - 1)
         cp = min(self._pred_limit, n - 1)
@@ -592,103 +601,31 @@ class ColumnarEngine:
             self.sver[row] = 1 if succ else 0
             self.preds[row] = pred
             self.pver[row] = 1 if pred else 0
-        if np is not None and self._bits <= 64 and n > 1:
-            self._bootstrap_fingers_numpy(order, sorted_ids, entries_sorted)
-        else:
-            self._bootstrap_fingers_scalar(order, sorted_ids, entries_sorted)
-        for row in range(n):
-            self.fver[row] = len(self.fingers[row])
-
-    def _bootstrap_fingers_scalar(self, order, sorted_ids, entries_sorted) -> None:
-        from bisect import bisect_left
-
-        n = len(order)
-        mask = self._mask
-        bits = self._bits
-        verme = self._verme
-        layout = self._layout
-        shift = self._shift if verme else 0
-        for i, row in enumerate(order):
-            own = sorted_ids[i]
-            span = (sorted_ids[(i + 1) % n] - own) & mask
-            fdict = self.fingers[row]
-            for k in range(span.bit_length(), bits):
-                if verme:
-                    target = verme_finger_target(layout, own, k)
-                else:
-                    target = (own + (1 << k)) & mask
-                j = bisect_left(sorted_ids, target)
-                oi = j % n
-                if verme and (sorted_ids[oi] >> shift) != (target >> shift):
-                    oi = (j - 1) % n
-                owner = entries_sorted[oi]
-                if owner[0] == own:
-                    continue
-                if verme:
-                    oid = owner[0]
-                    if (oid >> shift) != (own >> shift) and (
-                        (oid >> shift) & self._tmask
-                    ) == ((own >> shift) & self._tmask):
-                        continue  # same-type foreign section: disallowed
-                fdict[k] = owner
-
-    def _bootstrap_fingers_numpy(self, order, sorted_ids, entries_sorted) -> None:
-        """All finger owners in one matrix searchsorted (ISSUE tentpole
-        kernel); validated against the scalar path in the test suite."""
-        n = len(order)
-        bits = self._bits
-        ids_u = np.array(sorted_ids, dtype=np.uint64)
-        spans = (np.roll(ids_u, -1) - ids_u).astype(np.uint64)
-        if bits < 64:
-            spans &= np.uint64(self._mask)
-        kmin = int(spans.min()).bit_length()
-        if kmin >= bits:
+        if not n:
             return
-        ks = np.arange(kmin, bits, dtype=np.uint64)
-        steps = (np.uint64(1) << ks).astype(np.uint64)
-        raw = ids_u[:, None] + steps[None, :]
-        if bits < 64:
-            raw &= np.uint64(self._mask)
+        # Finger owners from the converged static overlay, whose sorted
+        # index i is row order[i].
         if self._verme:
-            shift = np.uint64(self._shift)
-            own_sec = ids_u >> shift
-            raw_sec = raw >> shift
-            next_sec = (own_sec + np.uint64(1)) % np.uint64(self._num_sections)
-            tmask = np.uint64(self._tmask)
-            keep = (raw_sec == own_sec[:, None]) | (raw_sec == next_sec[:, None])
-            same_type = (raw_sec & tmask) == (own_sec[:, None] & tmask)
-            displaced = raw + np.uint64(1 << self._section_bits)
-            if bits < 64:
-                displaced &= np.uint64(self._mask)
-            targets = np.where(keep | ~same_type, raw, displaced)
+            overlay = VermeStaticOverlay.from_ids(self._layout, ids)
         else:
-            targets = raw
-        j = np.searchsorted(ids_u, targets.ravel(), side="left").reshape(targets.shape)
-        oi = j % n
-        if self._verme:
-            shift = np.uint64(self._shift)
-            owner_sec = ids_u[oi] >> shift
-            target_sec = targets >> shift
-            oi = np.where(owner_sec == target_sec, oi, (j - 1) % n)
-        owner_ids = ids_u[oi]
-        active = steps[None, :] > spans[:, None]
-        ok = active & (owner_ids != ids_u[:, None])
-        if self._verme:
-            shift = np.uint64(self._shift)
-            tmask = np.uint64(self._tmask)
-            osec = owner_ids >> shift
-            nsec = (ids_u >> shift)[:, None]
-            allowed = (osec == nsec) | ((osec & tmask) != (nsec & tmask))
-            ok &= allowed
-        oi_l = oi.tolist()
-        ok_l = ok.tolist()
-        for i in range(n):
-            fdict = self.fingers[order[i]]
-            row_ok = ok_l[i]
-            row_oi = oi_l[i]
-            for jx in range(len(row_ok)):
-                if row_ok[jx]:
-                    fdict[kmin + jx] = entries_sorted[row_oi[jx]]
+            overlay = StaticOverlay.from_ids(self._config.space, ids)
+        fingers = self.fingers
+        if np is not None and self._bits <= 64:
+            kmin, oi, ok = overlay.finger_owners_np(np.arange(n, dtype=np.int64))
+            if oi is not None:
+                for row, row_oi, row_ok in zip(order, oi.tolist(), ok.tolist()):
+                    fdict = fingers[row]
+                    for j, held in enumerate(row_ok):
+                        if held:
+                            fdict[kmin + j] = entries_sorted[row_oi[j]]
+        else:  # from_ids' lazy infos are addressed by sorted index
+            for i, row in enumerate(order):
+                fingers[row] = {
+                    k: entries_sorted[info.address.host_slot]
+                    for k, info in overlay.finger_table(i).items()
+                }
+        for row in range(n):
+            self.fver[row] = len(fingers[row])
 
     # -- drivers ------------------------------------------------------------
 
@@ -868,6 +805,8 @@ class ColumnarEngine:
     ) -> None:
         dst_row = dst_entry[1]
         sim = self._sim
+        if sim._now >= deadline:
+            self._late_request(src_row, dst_row, deadline, self._rpc_to)
         if not self.alive[dst_row]:
             self._net._drop(CAUSE_DEAD)
             heapq.heappush(
@@ -876,9 +815,7 @@ class ColumnarEngine:
             sim._live += 1
             return
         if which == _M_NOTIFY:
-            cand = (self.node_id[src_row], src_row)
-            if cand[0] != self.node_id[dst_row]:
-                self._merge_pred(dst_row, (cand,))
+            self._merge_pred(dst_row, ((self.node_id[src_row], src_row),))
             self._reply_info_free(src_row, dst_row, deadline, timer_seq, dst_entry)
             return
         if which == _M_PING:
@@ -910,6 +847,21 @@ class ColumnarEngine:
                 sim._queue, (deadline, timer_seq, self._ev_to_dead, (src_row, dst_entry))
             )
             sim._live += 1
+
+    def _late_request(self, src_row: int, dst_row: int, deadline: float, timeout: float):
+        """Refuse a request that arrives at or after its own rpc deadline.
+
+        The engine materialises a request's failure timer when the
+        request arrives, which presumes one-way delay < timeout; past
+        that, the object engine's timer would already have fired and
+        the two engines would diverge without a word."""
+        delay = self._sim._now - (deadline - timeout)
+        raise ValueError(
+            f"columnar engine: a request from host {self.host[src_row]} to host "
+            f"{self.host[dst_row]} took {delay:.6g} s one way, at or past its rpc "
+            f"timeout of {timeout:.6g} s; failure timers are materialised at "
+            "arrival, so every pair's delay must stay below rpc_timeout_s"
+        )
 
     def _reply_info_free(
         self, src_row: int, dst_row: int, deadline: float, timer_seq: int, dst_entry: tuple
@@ -971,16 +923,10 @@ class ColumnarEngine:
 
     def _stabilize_reply(self, row: int, succ_entry: tuple, payload: tuple) -> None:
         pred0, succ_t, _pred_t = payload
-        candidates = [succ_entry]
-        candidates.extend(succ_t)
-        if pred0 is not None:
-            a = self.node_id[row]
-            b = succ_entry[0]
-            x = pred0[0]
-            mask = self._mask
-            if (x != a) if a == b else 0 < (x - a) & mask < (b - a) & mask:
-                candidates.append(pred0)
-        self._merge_succ(row, candidates)
+        self._merge_succ(
+            row,
+            stabilize_candidates(self.node_id[row], succ_entry, succ_t, pred0, self._mask),
+        )
         succs = self.succs[row]
         if succs:
             self._call_info(row, succs[0], _M_NOTIFY)
@@ -992,35 +938,23 @@ class ColumnarEngine:
             candidates.extend(pred_t)
             self._merge_pred(row, candidates)
 
-    # -- neighbor lists (mirrors chord.state.NeighborList) ------------------
+    # -- neighbor lists (rules.merge_neighbors / remove_ref) ----------------
 
     def _merge_succ(self, row: int, candidates) -> None:
-        cur = self.succs[row]
-        own = self.node_id[row]
-        by_id = {e[0]: e for e in cur}
-        for e in candidates:
-            if e[0] != own:
-                by_id[e[0]] = e
-        mask = self._mask
-        new = sorted(by_id.values(), key=lambda e: (e[0] - own) & mask)[
-            : self._num_succ
-        ]
-        if new != cur:
+        new = merge_neighbors(
+            self.succs[row], candidates, self.node_id[row], self._mask,
+            self._num_succ, True,
+        )
+        if new is not None:
             self.succs[row] = new
             self.sver[row] += 1
 
     def _merge_pred(self, row: int, candidates) -> None:
-        cur = self.preds[row]
-        own = self.node_id[row]
-        by_id = {e[0]: e for e in cur}
-        for e in candidates:
-            if e[0] != own:
-                by_id[e[0]] = e
-        mask = self._mask
-        new = sorted(by_id.values(), key=lambda e: (own - e[0]) & mask)[
-            : self._pred_limit
-        ]
-        if new != cur:
+        new = merge_neighbors(
+            self.preds[row], candidates, self.node_id[row], self._mask,
+            self._pred_limit, False,
+        )
+        if new is not None:
             self.preds[row] = new
             self.pver[row] += 1
 
@@ -1032,19 +966,14 @@ class ColumnarEngine:
             self.sver[row] += 1  # replace() bumps when non-empty -> empty
 
     def _neighbor_dead(self, row: int, dead_row: int) -> None:
-        s = self.succs[row]
-        kept = [e for e in s if e[1] != dead_row]
-        if len(kept) != len(s):
+        kept = remove_ref(self.succs[row], dead_row)
+        if kept is not None:
             self.succs[row] = kept
             self.sver[row] += 1
-        p = self.preds[row]
-        kept = [e for e in p if e[1] != dead_row]
-        if len(kept) != len(p):
+        kept = remove_ref(self.preds[row], dead_row)
+        if kept is not None:
             self.preds[row] = kept
             self.pver[row] += 1
-        self._fingers_remove(row, dead_row)
-
-    def _fingers_remove(self, row: int, dead_row: int) -> None:
         f = self.fingers[row]
         dead = [k for k, e in f.items() if e[1] == dead_row]
         if dead:
@@ -1064,8 +993,7 @@ class ColumnarEngine:
         if not succs:
             return
         own = self.node_id[row]
-        span = (succs[0][0] - own) & self._mask
-        for k in range(span.bit_length(), self._bits):
+        for k in range(first_maintained_finger(own, succs[0][0], self._mask), self._bits):
             self._lookup(
                 row,
                 self._finger_target(own, k),
@@ -1080,15 +1008,7 @@ class ColumnarEngine:
             return
         if success and entries:
             e = entries[0]
-            if self._verme:
-                shift = self._shift
-                eid = e[0]
-                own = self.node_id[row]
-                if (eid >> shift) != (own >> shift) and (
-                    (eid >> shift) & self._tmask
-                ) == ((own >> shift) & self._tmask):
-                    return  # VermeNode._finger_fixed containment refusal
-            if e[0] != self.node_id[row]:
+            if finger_entry_allowed(self.node_id[row], e[0], self._shift, self._tmask):
                 f = self.fingers[row]
                 if f.get(k) != e:
                     f[k] = e
@@ -1267,104 +1187,27 @@ class ColumnarEngine:
         if not self.alive[row] or self.succs[row]:
             return
         if success and entries:
-            own = self.node_id[row]
-            self._merge_succ(row, [e for e in entries if e[0] != own])
+            self._merge_succ(row, entries)  # the merge drops self
 
     # -- routing core --------------------------------------------------------
 
     def _route_next(self, row: int, key: int, exclude) -> Tuple[bool, bool, Optional[tuple]]:
-        succs = self.succs[row]
-        if not succs:
-            return (True, True, None)  # OWNER_SELF
-        succ = succs[0]
-        own = self.node_id[row]
-        mask = self._mask
-        succ_id = succ[0]
-        verme = self._verme
-        if own == succ_id or 0 < (key - own) & mask <= (succ_id - own) & mask:
-            if verme:
-                shift = self._shift
-                if (succ_id >> shift) == (key >> shift):
-                    return (True, False, None)  # OWNER_SUCC
-                return (True, True, None)  # corner rule: OWNER_SELF
-            return (True, False, None)
-        preds = self.preds[row]
-        if preds:
-            pred = preds[0]
-            pid = pred[0]
-            if pid == own or 0 < (key - pid) & mask <= (own - pid) & mask:
-                if verme:
-                    shift = self._shift
-                    if (own >> shift) == (key >> shift):
-                        return (True, True, None)
-                    if pred[1] not in exclude:
-                        return (False, False, pred)  # hand back one step
-                    # excluded: fall through to the candidate scan
-                else:
-                    return (True, True, None)
-        fver = self.fver[row]
-        sver = self.sver[row]
-        if fver != self.cand_fver[row] or sver != self.cand_sver[row]:
-            cands = []
-            for e in self.fingers[row].values():
-                dc = (e[0] - own) & mask
-                if dc:
-                    cands.append((-dc, e))
-            for e in succs:
-                dc = (e[0] - own) & mask
-                if dc:
-                    cands.append((-dc, e))
-            cands.sort(key=_neg_distance)
-            keys = [c[0] for c in cands]
-            infos = [c[1] for c in cands]
-            self.cand_keys[row] = keys
-            self.cand_infos[row] = infos
-            self.cand_fver[row] = fver
-            self.cand_sver[row] = sver
-        else:
-            keys = self.cand_keys[row]
-            infos = self.cand_infos[row]
-        dk = (key - own) & mask if key != own else mask + 1
-        i = bisect_right(keys, -dk)
-        best = None
-        if exclude:
-            for j in range(i, len(infos)):
-                e = infos[j]
-                if e[1] not in exclude:
-                    best = e
-                    break
-        elif i < len(infos):
-            best = infos[i]
-        if best is None:
-            if succ[1] not in exclude:
-                best = succ
-            else:
-                return (False, False, None)  # NO_ROUTE
-        return (False, False, best)
+        if self.fver[row] != self.cand_fver[row] or self.sver[row] != self.cand_sver[row]:
+            self.cand_keys[row], self.cand_infos[row] = route_candidates(
+                self.node_id[row], self.fingers[row].values(), self.succs[row], self._mask
+            )
+            self.cand_fver[row] = self.fver[row]
+            self.cand_sver[row] = self.sver[row]
+        return route_next(
+            self.node_id[row], key, self.succs[row], self.preds[row],
+            self.cand_keys[row], self.cand_infos[row], exclude, self._mask, self._shift,
+        )
 
     def _entries_for_key(self, row: int, key: int, purpose: int, owner_self: bool):
-        if self._verme and purpose == _P_DHT:
-            shift = self._shift
-            section = key >> shift
-            own = self.node_id[row]
-            if owner_self:
-                if (own >> shift) != section:
-                    return [(own, row)]
-                group = [(own, row)]
-                for p in self.preds[row]:
-                    if (p[0] >> shift) == section:
-                        group.append(p)
-            else:
-                group = [s for s in self.succs[row] if (s[0] >> shift) == section]
-                if not group:
-                    group = self.succs[row][:1]
-            return group[: self._num_succ]
-        if owner_self:
-            entries = [(self.node_id[row], row)]
-            entries.extend(self.succs[row])
-        else:
-            entries = list(self.succs[row])
-        return entries[: self._num_succ]
+        return entries_for_key(
+            (self.node_id[row], row), key, owner_self, self.succs[row], self.preds[row],
+            self._num_succ, self._shift if purpose == _P_DHT else None,
+        )
 
     def _verify_core(self, term_row: int, init_row: int, key: int, purpose: int, meta):
         if not self._verme:
@@ -1458,6 +1301,12 @@ class ColumnarEngine:
         op_tag,
     ) -> None:
         sim = self._sim
+        if sim._now >= deadline:
+            extra = params[6]
+            self._late_request(
+                src_row, dst_row, deadline,
+                self._rpc_to + extra / _WORST_CASE_BANDWIDTH if extra else self._rpc_to,
+            )
         if not self.alive[dst_row]:
             self._net._drop(CAUSE_DEAD)
             heapq.heappush(

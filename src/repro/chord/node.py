@@ -7,18 +7,18 @@ stabilization (every 30 s in the experiments), finger stabilization
 lookup styles (iterative / recursive / transitive).
 
 The routing engine is shared with :class:`repro.verme.node.VermeNode`,
-which only overrides id-ownership, finger-target placement, result
-packaging (sealing) and lookup verification — exactly the deltas the
-paper introduces.
+which only overrides finger-target placement, result packaging
+(sealing) and lookup verification, and hands the rules of
+:mod:`repro.chord.rules` its section layout (section-bounded ownership,
+the containment refusal, in-section replica groups) — exactly the
+deltas the paper introduces.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set
 
 from ..ids.idspace import IdSpace
@@ -30,6 +30,14 @@ from ..sim import EventHandle, PeriodicTimer, Simulator
 from .config import OverlayConfig
 from .lookup import LookupPurpose, LookupResult, LookupStyle
 from .rpc import MIN_RPC_BYTES, RpcContext, RpcLayer
+from .rules import (
+    entries_for_key,
+    finger_entry_allowed,
+    first_maintained_finger,
+    route_candidates,
+    route_next,
+    stabilize_candidates,
+)
 from .state import FingerTable, NeighborList, NodeInfo
 
 LookupCallback = Callable[[LookupResult], None]
@@ -39,20 +47,6 @@ LookupCallback = Callable[[LookupResult], None]
 ResponsibleHook = Callable[[int, dict, List[NodeInfo], Callable[[object, int], None]], None]
 
 
-@dataclass(slots=True)
-class _RouteDecision:
-    done: bool
-    owner_is_self: bool = False
-    next_hop: Optional[NodeInfo] = None
-
-
-# The three fieldwise-constant decisions, preallocated: routing makes
-# one decision per hop and callers only ever *read* decisions, so the
-# terminal/no-route cases can share these singletons.
-_DECISION_OWNER_SELF = _RouteDecision(done=True, owner_is_self=True)
-_DECISION_OWNER_SUCC = _RouteDecision(done=True, owner_is_self=False)
-_DECISION_NO_ROUTE = _RouteDecision(done=False, next_hop=None)
-
 #: Shared empty exclude set for hops with no failure history (the
 #: common case); read-only by contract of ``_route_next``.
 _NO_EXCLUDE: frozenset = frozenset()
@@ -60,11 +54,6 @@ _NO_EXCLUDE: frozenset = frozenset()
 #: Hop-count histogram buckets for the ``lookup.hops`` metric: one
 #: bucket per hop up to twice the ~log2 N of the largest experiments.
 _HOP_BUCKETS = tuple(float(i) for i in range(1, 33))
-
-#: Sort key for the cached routing-candidate list: clockwise distance.
-#: The sort is stable, so equal distances keep build order (fingers
-#: before successors), matching the original scan's tie-break.
-_cand_distance = itemgetter(0)
 
 
 @dataclass(slots=True)
@@ -103,6 +92,10 @@ class ChordNode:
     allowed_styles = frozenset(
         {LookupStyle.ITERATIVE, LookupStyle.RECURSIVE, LookupStyle.TRANSITIVE}
     )
+    #: the overlay arguments of :mod:`repro.chord.rules`: ``None`` is
+    #: Chord (Verme sets its section bits and type-field mask)
+    _shift: Optional[int] = None
+    _tmask = 0
 
     def __init__(
         self,
@@ -173,10 +166,9 @@ class ChordNode:
         self._forward_base_bytes = (
             MIN_RPC_BYTES + ID_BYTES + self._lookup_request_extra_bytes()
         )
-        # Routing-candidate cache: finger + successor entries with their
-        # precomputed clockwise distance from this node, sorted farthest
-        # first.  Rebuilt lazily when either table's version moves (see
-        # _route_next); steady-state scans touch no allocation at all.
+        # Routing-candidate cache (rules.route_candidates), rebuilt when
+        # either table's version moves; steady-state decisions touch no
+        # allocation at all.
         self._cand_keys: List[int] = []
         self._cand_infos: List[NodeInfo] = []
         self._cand_fver = -1
@@ -318,9 +310,7 @@ class ChordNode:
         )
 
     def _h_notify(self, params: dict, ctx: RpcContext) -> None:
-        candidate: NodeInfo = params["node"]
-        if candidate.node_id != self.node_id:
-            self.predecessors.merge([candidate])
+        self.predecessors.merge([params["node"]])  # the merge drops self
         ctx.respond({})
 
     # -- stabilization ------------------------------------------------------------
@@ -377,20 +367,14 @@ class ChordNode:
         if not self._alive or self.successors.first is not None:
             return
         if result.success and result.entries:
-            self.successors.merge(
-                [e for e in result.entries if e.node_id != self.node_id]
-            )
+            self.successors.merge(result.entries)  # the merge drops self
 
     def _stabilize_reply(self, succ: NodeInfo, res: dict) -> None:
         if not self._alive:
             return
-        candidates = [succ] + list(res.get("successors", []))
-        pred = res.get("predecessor")
-        if pred is not None and self.space.in_open(
-            pred.node_id, self.node_id, succ.node_id
-        ):
-            candidates.append(pred)
-        self.successors.merge(candidates)
+        self.successors.merge(stabilize_candidates(
+            self.node_id, succ, res.get("successors", []), res.get("predecessor"), self._mask
+        ))
         new_succ = self.successors.first
         if new_succ is not None:
             self.rpc.call(
@@ -428,8 +412,8 @@ class ChordNode:
         succ = self.successors.first
         if succ is None:
             return []
-        span = self.space.distance(self.node_id, succ.node_id)
-        return [k for k in range(self.space.bits) if (1 << k) > span]
+        start = first_maintained_finger(self.node_id, succ.node_id, self._mask)
+        return list(range(start, self.space.bits))
 
     def _fix_fingers(self) -> None:
         if not self._alive:
@@ -449,132 +433,38 @@ class ChordNode:
             return
         if result.success and result.entries:
             entry = result.entries[0]
-            if entry.node_id != self.node_id:
+            if finger_entry_allowed(self.node_id, entry[0], self._shift, self._tmask):
                 self.fingers.set(k, entry)
 
     # -- routing core ---------------------------------------------------------------
 
-    def _local_decision(
-        self, key: int, exclude: Set[NodeAddress]
-    ) -> Optional[_RouteDecision]:
-        """Fast path: the key provably falls in ``(predecessor, self]``,
-        so this node can decide ownership without routing."""
-        preds = self.predecessors._entries
-        if not preds:
-            return None
-        pred_id = preds[0].node_id
-        node_id = self.node_id
-        mask = self._mask
-        # in_half_open(key, pred_id, node_id), inlined.
-        if pred_id == node_id or (
-            0 < (key - pred_id) & mask <= (node_id - pred_id) & mask
-        ):
-            return _DECISION_OWNER_SELF
-        return None
-
-    def _route_next(self, key: int, exclude: Set[NodeAddress]) -> _RouteDecision:
-        """One routing decision: terminate here, or name the next hop.
-
-        This is the protocol stack's hottest loop (one scan per routed
-        message), so the interval predicates are inlined as mask
-        arithmetic and the scan walks the live finger/successor views
-        without copying or allocating.  Semantics are exactly the
-        closest-preceding-finger rule the readable predicates in
-        :mod:`repro.ids.idspace` express.
-        """
-        # Reads the neighbour lists' internal entry lists directly
-        # (rebind-not-mutate contract of entries_view, minus the
-        # property call).
-        succs = self.successors._entries
-        if not succs:
-            return _DECISION_OWNER_SELF
-        succ = succs[0]
-        node_id = self.node_id
-        mask = self._mask
-        # in_half_open(key, node_id, succ.node_id), inlined.
-        succ_id = succ.node_id
-        if node_id == succ_id or (
-            0 < (key - node_id) & mask <= (succ_id - node_id) & mask
-        ):
-            return self._terminal_decision(key, succ)
-        local = self._local_decision(key, exclude)
-        if local is not None:
-            return local
-        # Closest preceding candidate: the farthest entry strictly
-        # inside (node_id, key).  ``dk`` bounds the open interval; a
-        # key equal to node_id means the whole ring (Chord convention).
-        #
-        # The scan runs over a cached candidate list sorted farthest
-        # first, so the first entry below ``dk`` (and not excluded) is
-        # the winner.  Ties between a finger and a successor entry for
-        # the same id resolve to the finger, exactly as the original
-        # fingers-then-successors max scan with a strict ``>`` did:
-        # the list is built fingers first and the sort is stable.
+    def _route_next(self, key: int, exclude: Set[NodeAddress]) -> tuple:
+        """One routing decision, ``(done, owner_is_self, next_hop)``
+        (:func:`~repro.chord.rules.route_next`), over the live tables
+        and the version-keyed candidate cache."""
         fingers = self.fingers
-        successors = self.successors
-        if (
-            fingers.version != self._cand_fver
-            or successors.version != self._cand_sver
-        ):
-            # Keys are *negated* distances so the list sorts ascending
-            # and the C-level bisect below can find the winner.  The
-            # stable sort keeps build order (fingers before successors)
-            # among equal distances, reproducing the original
-            # fingers-then-successors strict-max tie-break.
-            cands = []
-            for cand in fingers.values():
-                dc = (cand.node_id - node_id) & mask
-                if dc:  # dc == 0 (an entry for self) can never route
-                    cands.append((-dc, cand))
-            for cand in succs:
-                dc = (cand.node_id - node_id) & mask
-                if dc:
-                    cands.append((-dc, cand))
-            cands.sort(key=_cand_distance)
-            keys = [c[0] for c in cands]
-            infos = [c[1] for c in cands]
-            self._cand_keys = keys
-            self._cand_infos = infos
+        succs = self.successors
+        if fingers.version != self._cand_fver or succs.version != self._cand_sver:
+            self._cand_keys, self._cand_infos = route_candidates(
+                self.node_id, fingers.values(), succs._entries, self._mask
+            )
             self._cand_fver = fingers.version
-            self._cand_sver = successors.version
-        else:
-            keys = self._cand_keys
-            infos = self._cand_infos
-        dk = (key - node_id) & mask if key != node_id else mask + 1
-        # First candidate with dc < dk  ⟺  first key > -dk in the
-        # ascending keys list: one binary search instead of a scan.
-        i = bisect_right(keys, -dk)
-        best: Optional[NodeInfo] = None
-        if exclude:
-            for j in range(i, len(infos)):
-                cand = infos[j]
-                if cand.address not in exclude:
-                    best = cand
-                    break
-        elif i < len(infos):
-            best = infos[i]
-        if best is None:
-            if succ.address not in exclude:
-                best = succ  # last resort: inch forward via the successor
-            else:
-                return _DECISION_NO_ROUTE
-        return _RouteDecision(False, next_hop=best)
-
-    def _terminal_decision(self, key: int, succ: NodeInfo) -> _RouteDecision:
-        """The key lies in ``(self, successor]``: in Chord the successor
-        always owns it.  Verme overrides this with the section rule."""
-        return _DECISION_OWNER_SUCC
+            self._cand_sver = succs.version
+        return route_next(
+            self.node_id, key, succs._entries, self.predecessors._entries,
+            self._cand_keys, self._cand_infos, exclude, self._mask, self._shift,
+        )
 
     def _entries_for_key(
         self, key: int, purpose: LookupPurpose, owner_is_self: bool
     ) -> List[NodeInfo]:
-        """The node list a terminating lookup returns."""
-        if owner_is_self:
-            entries = [self._self_info]
-            entries.extend(self.successors.entries_view)
-        else:
-            entries = list(self.successors.entries_view)
-        return entries[: self.config.num_successors]
+        """The node list a terminating lookup returns
+        (:func:`~repro.chord.rules.entries_for_key`)."""
+        return entries_for_key(
+            self._self_info, key, owner_is_self, self.successors._entries,
+            self.predecessors._entries, self.config.num_successors,
+            self._shift if purpose is LookupPurpose.DHT else None,
+        )
 
     # -- lookup verification / packaging (Verme overrides) ----------------------------
 
@@ -679,26 +569,26 @@ class ChordNode:
             self._send_forward(state, token, state.first_hop, hops=1)
             return
 
-        decision = self._route_next(state.key, state.failed_hops)
-        if decision.done:
-            self._complete_local(state, decision)
+        done, owner_is_self, next_hop = self._route_next(state.key, state.failed_hops)
+        if done:
+            self._complete_local(state, owner_is_self)
             return
-        if decision.next_hop is None:
+        if next_hop is None:
             self._finish(state, None, error="no route")
             return
         if state.style is LookupStyle.ITERATIVE:
             state.iter_hops = 0
-            self._iterative_step(state, token, decision.next_hop)
+            self._iterative_step(state, token, next_hop)
         else:
-            self._send_forward(state, token, decision.next_hop.address, hops=1)
+            self._send_forward(state, token, next_hop.address, hops=1)
 
-    def _complete_local(self, state: _PendingLookup, decision: _RouteDecision) -> None:
+    def _complete_local(self, state: _PendingLookup, owner_is_self: bool) -> None:
         """The initiator itself terminates the lookup."""
         err = self._verify_lookup(state.key, self._request_params(state, None, 0))
         if err is not None:
             self._finish(state, None, error=err)
             return
-        entries = self._entries_for_key(state.key, state.purpose, decision.owner_is_self)
+        entries = self._entries_for_key(state.key, state.purpose, owner_is_self)
 
         def done(app_payload: object, _extra: int) -> None:
             self._finish(state, entries, hops=0, app_payload=app_payload)
@@ -728,23 +618,10 @@ class ChordNode:
         self._attach_credentials(params)
         return params
 
-    def _forward_request_size(self, params: dict) -> int:
-        # params always comes from _request_params, so the keys exist.
-        size = self._forward_base_bytes + params["extra_bytes"]
-        if params["origin"] is not None:
-            size += ADDR_BYTES
-        return size
-
     # Slowest plausible access uplink (bytes/s); used to keep the per-hop
     # failure-detection timeout above the serialization delay of lookups
     # that piggyback bulk data (Secure-VerDi puts).
     _WORST_CASE_BANDWIDTH = 1e4
-
-    def _forward_timeout(self, params: dict) -> float:
-        extra = params["extra_bytes"]
-        if extra:
-            return self._rpc_timeout_s + extra / self._WORST_CASE_BANDWIDTH
-        return self._rpc_timeout_s
 
     def _send_forward(
         self, state: _PendingLookup, token: tuple, dst: NodeAddress, hops: int
@@ -899,16 +776,16 @@ class ChordNode:
     def _h_route_step(self, params: dict, ctx: RpcContext) -> None:
         key = params["key"]
         purpose = params["purpose"]
-        decision = self._route_next(key, _NO_EXCLUDE)
-        if decision.done:
-            entries = self._entries_for_key(key, purpose, decision.owner_is_self)
+        done, owner_is_self, next_hop = self._route_next(key, _NO_EXCLUDE)
+        if done:
+            entries = self._entries_for_key(key, purpose, owner_is_self)
             ctx.respond(
                 {"done": True, "entries": entries},
                 size=MIN_RPC_BYTES + len(entries) * entry_bytes(),
             )
         else:
             ctx.respond(
-                {"done": False, "next": decision.next_hop},
+                {"done": False, "next": next_hop},
                 size=MIN_RPC_BYTES + entry_bytes(),
             )
 
@@ -920,8 +797,6 @@ class ChordNode:
         self.rpc.ack_request(request, msg)  # per-hop ack (failure detector)
         params = request.params
         src = msg.src
-        token = params["token"]
-        style: LookupStyle = params["style"]
         hops = params["hops"]
         if hops > self.config.max_lookup_hops:
             self._send_result_back(params, src, ok=False, error="hop limit")
@@ -943,32 +818,7 @@ class ChordNode:
                 verdict, self._process_forward, params, src, msg.category, msg.op_tag
             )
             return
-        if style is LookupStyle.RECURSIVE:
-            if token in self._forwards:
-                return  # duplicate
-            # Inlined Simulator.schedule for the forward-state GC timer
-            # (one per accepted forward; cancelled when the result
-            # passes back through).
-            sim = self.sim
-            fire_at = sim._now + self.config.pending_route_gc_s
-            gc_handle = EventHandle.__new__(EventHandle)
-            gc_handle.time = fire_at
-            gc_handle.callback = self._gc_forward
-            gc_handle.args = (token,)
-            gc_handle._cancelled = False
-            gc_handle._fired = False
-            gc_handle._sim = sim
-            seq = sim._next_seq
-            sim._next_seq = seq + 1
-            heapq.heappush(sim._queue, (fire_at, seq, gc_handle))
-            sim._live += 1
-            fwd = _ForwardState.__new__(_ForwardState)
-            fwd.upstream = src
-            fwd.exclude = _NO_EXCLUDE
-            fwd.params = params
-            fwd.gc_handle = gc_handle
-            self._forwards[token] = fwd
-        self._continue_forward(params, src, _NO_EXCLUDE, msg.category, msg.op_tag)
+        self._accept_forward(params, src, msg.category, msg.op_tag)
 
     def _process_forward(
         self,
@@ -983,10 +833,24 @@ class ChordNode:
         if not self._alive:
             return
         self.admission.release()
+        self._accept_forward(params, src, category, op_tag)
+
+    def _accept_forward(
+        self,
+        params: dict,
+        src: NodeAddress,
+        category: str,
+        op_tag: Optional[int],
+    ) -> None:
+        """Recursive bookkeeping (forward state + its GC timer), then
+        route (mirrors ColumnarEngine._accept_forward)."""
         if params["style"] is LookupStyle.RECURSIVE:
             token = params["token"]
             if token in self._forwards:
                 return  # duplicate
+            # Inlined Simulator.schedule for the forward-state GC timer
+            # (one per accepted forward; cancelled when the result
+            # passes back through).
             sim = self.sim
             fire_at = sim._now + self.config.pending_route_gc_s
             gc_handle = EventHandle.__new__(EventHandle)
@@ -1017,18 +881,16 @@ class ChordNode:
         op_tag: Optional[int],
     ) -> None:
         key = params["key"]
-        decision = self._route_next(key, exclude)
-        if decision.done:
-            self._terminate_route(params, upstream, decision, category, op_tag)
+        done, owner_is_self, nxt = self._route_next(key, exclude)
+        if done:
+            self._terminate_route(params, upstream, owner_is_self, category, op_tag)
             return
-        if decision.next_hop is None:
+        if nxt is None:
             self._send_result_back(params, upstream, ok=False, error="no route")
             return
-        nxt = decision.next_hop
         fwd_params = dict(params)
         fwd_params["hops"] = params["hops"] + 1
-        # _forward_request_size/_forward_timeout inlined (one forward
-        # per routed message).
+        # Wire size and per-hop timeout as in _send_forward.
         extra = fwd_params["extra_bytes"]
         size = self._forward_base_bytes + extra
         if fwd_params["origin"] is not None:
@@ -1074,7 +936,7 @@ class ChordNode:
         self,
         params: dict,
         upstream: NodeAddress,
-        decision: _RouteDecision,
+        owner_is_self: bool,
         category: str,
         op_tag: Optional[int],
     ) -> None:
@@ -1084,7 +946,7 @@ class ChordNode:
             self._send_result_back(params, upstream, ok=False, error=err)
             return
         purpose: LookupPurpose = params["purpose"]
-        entries = self._entries_for_key(key, purpose, decision.owner_is_self)
+        entries = self._entries_for_key(key, purpose, owner_is_self)
         meta = params.get("meta")
 
         def done(app_payload: object, extra_bytes: int) -> None:

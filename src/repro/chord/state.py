@@ -8,21 +8,22 @@ model's knowledge extraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from ..ids.idspace import IdSpace
 from ..net.addressing import NodeAddress
+from .rules import merge_neighbors, remove_ref
 
 
-@dataclass(frozen=True, slots=True)
-class NodeInfo:
+class NodeInfo(NamedTuple):
     """A routing-table entry: an id and how to reach it.
 
     In Verme the node's type is *derivable from the id* (the middle
     bits), so entries never need to carry a separate type field.
-    Slotted: entries are created per routing-table merge and per lookup
-    result, and the dict-less layout keeps that allocation cheap.
+    A tuple, so an entry has the same shape as the columnar engine's
+    ``(node_id, row)`` pairs: ``e[0]`` is the id and ``e[1]`` the
+    reference, and the rules of :mod:`repro.chord.rules` index both
+    engines' entries alike.
     """
 
     node_id: int
@@ -53,13 +54,9 @@ class NeighborList:
         #: routing fast path uses it to cache a derived candidate list.
         self.version = 0
 
-    def _distance(self, info: NodeInfo) -> int:
-        if self._clockwise:
-            return self._space.distance(self._owner_id, info.node_id)
-        return self._space.distance(info.node_id, self._owner_id)
-
     @property
     def entries(self) -> List[NodeInfo]:
+        """A copy of the entries, nearest first."""
         return list(self._entries)
 
     @property
@@ -75,6 +72,7 @@ class NeighborList:
 
     @property
     def first(self) -> Optional[NodeInfo]:
+        """The nearest entry, or None when the list is empty."""
         return self._entries[0] if self._entries else None
 
     def __len__(self) -> int:
@@ -87,31 +85,19 @@ class NeighborList:
         return info in self._entries
 
     def merge(self, candidates: Iterable[NodeInfo]) -> None:
-        """Fold ``candidates`` into the list, keeping the closest ``limit``."""
-        by_id: Dict[int, NodeInfo] = {e.node_id: e for e in self._entries}
-        for info in candidates:
-            if info.node_id == self._owner_id:
-                continue
-            # A fresher incarnation of the same id replaces the old entry.
-            by_id[info.node_id] = info
-        # Sort key inlined from _distance: merges run on every
-        # stabilization round, and the mask arithmetic is identical to
-        # IdSpace.distance.
-        owner = self._owner_id
-        mask = self._space.mask
-        if self._clockwise:
-            ordered = sorted(by_id.values(), key=lambda e: (e.node_id - owner) & mask)
-        else:
-            ordered = sorted(by_id.values(), key=lambda e: (owner - e.node_id) & mask)
-        new_entries = ordered[: self._limit]
-        # Steady-state stabilization merges usually reproduce the same
-        # list; skipping the rebind keeps ``version`` stable so derived
-        # caches survive.
-        if new_entries != self._entries:
+        """Fold ``candidates`` into the list, keeping the closest ``limit``
+        (:func:`~repro.chord.rules.merge_neighbors`)."""
+        new_entries = merge_neighbors(
+            self._entries, candidates, self._owner_id, self._space.mask,
+            self._limit, self._clockwise,
+        )
+        # A no-op merge keeps ``version`` stable so derived caches survive.
+        if new_entries is not None:
             self._entries = new_entries
             self.version += 1
 
     def replace(self, entries: Iterable[NodeInfo]) -> None:
+        """Drop every entry, then merge ``entries`` (join / bootstrap)."""
         had_entries = bool(self._entries)
         self._entries = []
         self.merge(entries)
@@ -121,12 +107,14 @@ class NeighborList:
             self.version += 1
 
     def remove_address(self, address: NodeAddress) -> None:
-        kept = [e for e in self._entries if e.address != address]
-        if len(kept) != len(self._entries):
+        """Drop every entry reached at ``address`` (failure detector)."""
+        kept = remove_ref(self._entries, address)
+        if kept is not None:
             self._entries = kept
             self.version += 1
 
     def remove_id(self, node_id: int) -> None:
+        """Drop the entry with id ``node_id``, if any."""
         kept = [e for e in self._entries if e.node_id != node_id]
         if len(kept) != len(self._entries):
             self._entries = kept
@@ -147,6 +135,7 @@ class FingerTable:
         self.version = 0
 
     def set(self, k: int, info: Optional[NodeInfo]) -> None:
+        """Install ``info`` as finger ``k`` (None clears the slot)."""
         if info is None:
             if self._fingers.pop(k, None) is not None:
                 self.version += 1
@@ -155,9 +144,11 @@ class FingerTable:
             self.version += 1
 
     def get(self, k: int) -> Optional[NodeInfo]:
+        """Finger ``k``, or None when it is not held."""
         return self._fingers.get(k)
 
     def entries(self) -> List[NodeInfo]:
+        """A copy of the finger entries, in insertion order."""
         return list(self._fingers.values())
 
     def values(self):
@@ -166,9 +157,11 @@ class FingerTable:
         return self._fingers.values()
 
     def items(self):
+        """A copy of the ``(k, entry)`` pairs, in insertion order."""
         return list(self._fingers.items())
 
     def remove_address(self, address: NodeAddress) -> None:
+        """Drop every finger reached at ``address`` (failure detector)."""
         dead = [k for k, e in self._fingers.items() if e.address == address]
         for k in dead:
             del self._fingers[k]

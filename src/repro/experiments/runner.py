@@ -41,6 +41,8 @@ Observability (see :mod:`repro.obs` and ``docs/observability.md``):
   at any ``--workers`` count.
 * ``--trace FILE`` records a Chrome ``trace_event`` JSON viewable at
   https://ui.perfetto.dev.  Serial-only: forces ``--workers 1``.
+  Object engine only for the live figures: with ``--engine columnar``
+  fig5/fig6/fig7/overload refuse it (fig8's worm engines both trace).
 * ``--profile`` runs under cProfile *and* prints a per-phase
   wall/CPU/event-rate report.
 
@@ -422,6 +424,12 @@ def main(argv=None) -> int:
                          f"(choices: {', '.join(OVERLOADS)})")
     if args.smoke and args.figure != "overload":
         parser.error("--smoke is only supported for overload")
+    if args.trace is not None and args.engine == "columnar" and args.figure != "fig8":
+        parser.error(
+            "--trace records spans on the object engine only for now: the "
+            "columnar live engine emits almost none of them; use --engine "
+            "object (or drop --trace)"
+        )
     if args.trace is not None and args.workers != 1:
         print("--trace is serial-only; forcing --workers 1", file=sys.stderr)
         args.workers = 1

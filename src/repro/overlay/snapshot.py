@@ -260,6 +260,33 @@ class StaticOverlay:
             self._ids_np = arr
         return arr
 
+    def finger_owners_np(self, idx):
+        """Array :meth:`finger_table` for the nodes at sorted indices
+        ``idx`` (an int64 array), as owner indices: ``(kmin, oi, ok)`` where
+        column ``j`` is finger ``kmin + j``, ``oi`` the (m, k) owner
+        indices and ``ok`` the mask of fingers a node holds.  ``kmin``
+        is the lowest finger any node of the batch maintains (``oi``
+        and ``ok`` are ``None`` when none does)."""
+        ids_np = self._ids_numpy()
+        n = len(ids_np)
+        bits = self.space.bits
+        node_ids = ids_np[idx]
+        # Successor span decides which fingers each node maintains;
+        # uint64 wraparound then masking gives distance mod 2**bits.
+        spans = self._wrap_np(ids_np[(idx + 1) % n] - node_ids)
+        kmin = int(spans.min()).bit_length() if len(idx) else bits
+        if kmin >= bits:
+            return kmin, None, None
+        # All finger owners in one searchsorted over the (m, k) target
+        # matrix.
+        steps = np.uint64(1) << np.arange(kmin, bits, dtype=np.uint64)
+        oi = self._owners_np(self._finger_targets_np(node_ids, steps))
+        owner_ids = ids_np[oi]
+        ok = spans[:, None] < steps[None, :]  # 2**k > span
+        ok &= owner_ids != node_ids[:, None]
+        ok &= self._finger_allowed_np(node_ids, owner_ids)
+        return kmin, oi, ok
+
     def routing_target_indices_many(
         self, indices: Sequence[int], num_successors: int, num_predecessors: int
     ):
@@ -301,11 +328,7 @@ class StaticOverlay:
         for lo in range(0, idx_all.shape[0], _BATCH_CHUNK):
             idx = idx_all[lo : lo + _BATCH_CHUNK]
             m = idx.shape[0]
-            node_ids = ids_np[idx]
-            # Successor span decides which fingers each node maintains;
-            # uint64 wraparound then masking gives distance mod 2**bits.
-            spans = self._wrap_np(ids_np[(idx + 1) % n] - node_ids)
-            kmin = int(spans.min()).bit_length() if m else bits
+            kmin, oi, ok = self.finger_owners_np(idx)
             nk = max(0, bits - kmin)
             cols = cs + cp + nk
             cand = np.empty((m, cols), dtype=np.int64)
@@ -315,14 +338,6 @@ class StaticOverlay:
                 cand[:, cs : cs + cp] = (idx[:, None] - pred_offsets) % n
                 keep[:, cs : cs + cp] = pred_keep
             if nk:
-                # All finger owners in one searchsorted over the (m, nk)
-                # target matrix.
-                steps = np.uint64(1) << np.arange(kmin, bits, dtype=np.uint64)
-                oi = self._owners_np(self._finger_targets_np(node_ids, steps))
-                owner_ids = ids_np[oi]
-                ok = spans[:, None] < steps[None, :]  # 2**k > span
-                ok &= owner_ids != node_ids[:, None]
-                ok &= self._finger_allowed_np(node_ids, owner_ids)
                 # Dedup in O(m*cols).  A finger repeats a list entry iff
                 # its ring offset lies outside (cs, n - cp), i.e. within
                 # the successor or predecessor list; shifting offsets by

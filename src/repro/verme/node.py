@@ -9,27 +9,28 @@ paper's deltas:
   successor lies in the key's section; otherwise by the key's
   predecessor (the §4.4 corner rule);
 * **fingers** — targets are displaced so every finger points at a node
-  of the opposite type (:mod:`repro.verme.fingers`);
+  of the opposite type (:mod:`repro.verme.fingers`), and a same-type
+  owner from a foreign section is refused (containment);
+* **DHT results** — the in-section replica group (§5.2);
 * **predecessor list** — maintained like the successor list (needed by
   VerDi's predecessor-side replication, §5.2);
 * **lookups** — recursive only, carry the initiator's certificate, are
   verified for legitimacy by the responsible node, and the reply is
   sealed with the initiator's public key so intermediate hops never see
   the returned addresses (§4.5).
+
+Ownership, the containment refusal and the replica group are rules of
+:mod:`repro.chord.rules`, shared with the columnar engine; this class
+supplies their Verme arguments (section bits and type-field mask).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional
 
 from ..chord.config import OverlayConfig
 from ..chord.lookup import LookupPurpose, LookupStyle
-from ..chord.node import (
-    _DECISION_OWNER_SELF,
-    _DECISION_OWNER_SUCC,
-    ChordNode,
-    _RouteDecision,
-)
+from ..chord.node import ChordNode
 from ..chord.state import NodeInfo
 from ..crypto.certificates import CertificateAuthority, KeyPair, NodeCertificate
 from ..crypto.sealed import SealError, seal
@@ -77,11 +78,12 @@ class VermeNode(ChordNode):
         self.keys = keys
         self.ca = ca
         self.verify_dht_lookup: Optional[DhtLookupVerifier] = None
-        # Per-hop constant: ``same_section(a, b)`` is just an equality of
-        # the ids shifted right by ``section_bits`` (all protocol ids are
-        # range-validated at creation), and the terminal/ownership
-        # decisions consult it once per routed message.
-        self._section_shift = layout.section_bits
+        # The Verme arguments of repro.chord.rules: ``same_section(a, b)``
+        # is an equality of the ids shifted right by ``section_bits``
+        # (all protocol ids are range-validated at creation), and the
+        # type field is the low bits of the section index.
+        self._shift = layout.section_bits
+        self._tmask = layout.num_types - 1
         super().__init__(sim, network, config, cert.node_id, address, jitter_rng)
 
     # -- identity -------------------------------------------------------------
@@ -103,79 +105,6 @@ class VermeNode(ChordNode):
 
     def finger_target(self, k: int) -> int:
         return verme_finger_target(self.layout, self.node_id, k)
-
-    def _finger_fixed(self, k: int, result) -> None:
-        """Refuse containment-violating entries: in degenerate rings a
-        displaced target can resolve to a same-type node of a foreign
-        section, and storing it would hand a worm a cross-island link.
-        The type check is free — it reads the entry's id bits."""
-        if result.success and result.entries:
-            entry = result.entries[0]
-            if not self.layout.same_section(
-                entry.node_id, self.node_id
-            ) and self.layout.same_type(entry.node_id, self.node_id):
-                return
-        super()._finger_fixed(k, result)
-
-    # -- ownership ----------------------------------------------------------------
-
-    def _terminal_decision(self, key: int, succ: NodeInfo) -> _RouteDecision:
-        shift = self._section_shift
-        if (succ.node_id >> shift) == (key >> shift):
-            return _DECISION_OWNER_SUCC
-        # Tail gap (or empty section): the key's predecessor — this node
-        # — is responsible (§4.4 corner rule).
-        return _DECISION_OWNER_SELF
-
-    def _local_decision(
-        self, key: int, exclude: Set[NodeAddress]
-    ) -> Optional[_RouteDecision]:
-        preds = self.predecessors._entries
-        if not preds:
-            return None
-        pred = preds[0]
-        pred_id = pred.node_id
-        node_id = self.node_id
-        mask = self._mask
-        # in_half_open(key, pred_id, node_id), inlined.
-        if not (
-            pred_id == node_id
-            or 0 < (key - pred_id) & mask <= (node_id - pred_id) & mask
-        ):
-            return None
-        shift = self._section_shift
-        if (node_id >> shift) == (key >> shift):
-            return _DECISION_OWNER_SELF
-        # The key lies in the gap before this node's section, so its
-        # *predecessor* owns it; hand the request back one step.
-        if pred.address not in exclude:
-            return _RouteDecision(done=False, next_hop=pred)
-        return None
-
-    def _entries_for_key(
-        self, key: int, purpose: LookupPurpose, owner_is_self: bool
-    ) -> List[NodeInfo]:
-        if purpose is not LookupPurpose.DHT:
-            return super()._entries_for_key(key, purpose, owner_is_self)
-        # DHT lookups return the in-section replica group (§5.2).
-        section = self.layout.section_index(key)
-        if owner_is_self:
-            if self.layout.section_index(self.node_id) != section:
-                return [self.info]  # degenerate: the key's section is empty
-            group = [self.info] + [
-                p
-                for p in self.predecessors.entries
-                if self.layout.section_index(p.node_id) == section
-            ]
-        else:
-            group = [
-                s
-                for s in self.successors.entries
-                if self.layout.section_index(s.node_id) == section
-            ]
-            if not group:
-                group = self.successors.entries[:1]
-        return group[: self.config.num_successors]
 
     # -- lookup security (§4.5) -----------------------------------------------------
 

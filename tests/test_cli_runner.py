@@ -121,3 +121,15 @@ def test_repro_command_line_includes_seed_and_strict_mode():
     assert "repro.experiments.runner resilience" in line
     assert "--seed 7" in line
     assert "--invariants strict" in line
+
+
+@pytest.mark.parametrize("figure", ["fig5", "fig6", "fig7", "overload"])
+def test_trace_refuses_the_columnar_live_engine(figure, tmp_path, capsys):
+    """Spans are object-engine-only for now: a columnar live run must not
+    exit 0 with a near-empty trace."""
+    out = tmp_path / "run.trace.json"
+    with pytest.raises(SystemExit) as exc:
+        main([figure, "--engine", "columnar", "--trace", str(out)])
+    assert exc.value.code == 2
+    assert "object engine only" in capsys.readouterr().err
+    assert not out.exists()

@@ -237,3 +237,30 @@ def test_physical_events_stay_a_pinned_fraction_of_logical(verme, pin):
     col.sim.run(until=300.0)
     ratio = col.sim.events_processed / col.engine.logical_events(300.0)
     assert ratio < pin, ratio
+
+
+@pytest.mark.parametrize("slow, handler", [("predecessor", "_ev_req"), ("far", "_ev_fwd")])
+def test_request_at_or_past_its_rpc_deadline_raises(slow, handler):
+    """Failure timers are materialised when a request arrives, which
+    presumes one-way delay < rpc timeout.  A request over a pair at or
+    above the timeout must stop the run, naming the delay and the
+    timeout, instead of scheduling its timer in the past — a
+    maintenance rpc (row 0's probe of its predecessor) and a lookup
+    hop (row 0's finger-fix lookups, which leave through far fingers)."""
+    rngs = RngRegistry(11)
+    sim = Simulator()
+    nodes = 16
+    latency = MatrixLatency(np.full((nodes, nodes), 0.05))
+    engine = ColumnarEngine(sim, Network(sim, latency), BASE)
+    engine.build(nodes, rngs)
+    # Latency rows are read lazily, so the matrix can still change here.
+    src = engine.host[0]
+    pred, succ = engine.host[engine.preds[0][0][1]], engine.host[engine.succs[0][0][1]]
+    if slow == "predecessor":
+        latency.matrix[src, pred] = 2 * BASE.rpc_timeout_s
+    else:  # every pair out of row 0 but the ones its maintenance rpcs use
+        latency.matrix[src, :] = 2 * BASE.rpc_timeout_s
+        latency.matrix[src, [pred, succ]] = 0.05
+    with pytest.raises(ValueError, match=r"took 1 s one way.* timeout of 0\.5 s") as exc:
+        sim.run(until=BASE.finger_interval_s)
+    assert exc.traceback[-2].name == handler

@@ -1,8 +1,8 @@
 """The routing-candidate cache must track its source-table versions.
 
-``ChordNode._route_next`` scans a cached candidate list (fingers +
-successor entries sorted farthest-first) keyed by the two tables'
-``version`` counters.  These tests pin the invalidation contract: any
+``ChordNode._route_next`` hands :func:`repro.chord.rules.route_next` a
+cached candidate list (fingers + successor entries sorted farthest-first)
+keyed by the two tables' ``version`` counters.  These tests pin the invalidation contract: any
 content change to either table bumps its version and forces a rebuild
 on the next routing decision, a no-op merge keeps the cache (and its
 version key) intact, and after real churn every live node's cache is
@@ -15,7 +15,6 @@ from repro.analysis import LookupStats
 from repro.chord import ChurnDriver, LookupStyle, LookupWorkload
 from repro.chord.state import NodeInfo
 from repro.net import NodeAddress
-from repro.sim import RngRegistry
 
 from conftest import build_chord_ring
 from test_churn_integration import churn_setup
@@ -29,8 +28,9 @@ def _warm(node, key=12345):
 
 
 def _expected_candidates(node):
-    """The candidate list recomputed from the live tables, mirroring
-    the construction in ``_route_next`` (fingers first, stable sort)."""
+    """The candidate list recomputed from the live tables, written from
+    the definition rather than imported from ``repro.chord.rules``
+    (fingers first, stable sort)."""
     mask = node._mask
     cands = []
     for cand in node.fingers.values():
@@ -116,10 +116,10 @@ def test_stale_cache_is_never_consulted_after_version_bump():
     best_id = (key - 1) & mask
     info = NodeInfo(best_id, NodeAddress(9997, 0))
     node.fingers.set(41, info)
-    after = node._route_next(key, frozenset())
-    assert not after.done
-    assert after.next_hop == info
-    assert before.done or before.next_hop != info
+    done, _owner_self, next_hop = node._route_next(key, frozenset())
+    assert not done
+    assert next_hop == info
+    assert before[0] or before[2] != info
 
 
 def test_cache_coherent_after_churn():
@@ -143,16 +143,11 @@ def test_cache_coherent_after_churn():
     rng = random.Random(3)
     checked = 0
     for node in ring.population:
-        # Terminal/local decisions return before the candidate scan, so
-        # try keys until one actually exercises (and so refreshes) the
-        # cache for this node's current table versions.
-        for _ in range(50):
-            node._route_next(rng.getrandbits(32), frozenset())
-            if (node._cand_fver == node.fingers.version
-                    and node._cand_sver == node.successors.version):
-                break
-        else:
-            continue
+        # Any decision refreshes the cache for this node's current table
+        # versions.
+        node._route_next(rng.getrandbits(32), frozenset())
+        assert node._cand_fver == node.fingers.version
+        assert node._cand_sver == node.successors.version
         keys, infos = _expected_candidates(node)
         assert node._cand_keys == keys
         assert node._cand_infos == infos
