@@ -43,7 +43,10 @@ Equivalence argument (tested bit-for-bit in
                        armed head of a ``_Calendar``)
   per-hop ack,         it arrives before the rpc       ``elided``, or
   notify/ping reply    deadline (delivery only         ``_future_elided``
-                       cancels the failure timer)      past the horizon
+                       cancels the failure timer) and  past the horizon
+                       before the caller's crash
+                       (``death_at``; else it is a
+                       counted drop)
   lookup attempt       the lookup finished before a    nothing (the object
   timeout              sweep reached it (constant      engine cancelled
                        delay: FIFO ``_Calendar``)      it)
@@ -83,11 +86,9 @@ Equivalence argument (tested bit-for-bit in
   collide exactly.  The equivalence and golden suites have never
   observed one.
 
-The routing rules themselves — closest-preceding routing with Verme's
-corner rule and hand-back, neighbour-list merge and removal, the
-stabilize-reply candidate rule, the finger-fix range, the containment
-refusal and the entries a terminating lookup returns — are not mirrored
-here: both engines call the one copy in :mod:`repro.chord.rules`.
+The protocol rules themselves are not mirrored here: both engines call
+the one copy of each in :mod:`repro.chord.rules`.  What the engine does
+not do is one table, :data:`UNSUPPORTED`.
 
 The bootstrap (successor/predecessor/finger fill for the initial
 converged ring) takes its finger owners from the static overlay
@@ -104,6 +105,7 @@ import math
 import random
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.stats import LookupStats
@@ -121,13 +123,16 @@ from ..overlay.snapshot import StaticOverlay, VermeStaticOverlay
 from ..sim import RngRegistry, Simulator, derive_seed
 from ..verme.fingers import is_verme_finger_target, verme_finger_target
 from .config import OverlayConfig
-from .lookup import LookupStyle
+from .lookup import LookupPurpose, LookupStyle
 from .rpc import MIN_RPC_BYTES
 from .rules import (
     entries_for_key,
     finger_entry_allowed,
     first_maintained_finger,
     merge_neighbors,
+    purpose_error,
+    rejoin_contact,
+    remove_finger_ref,
     remove_ref,
     route_candidates,
     route_next,
@@ -140,15 +145,34 @@ try:  # numpy is part of the baked toolchain, but keep a scalar fallback
 except Exception:  # pragma: no cover
     np = None
 
-# Lookup styles / purposes as plain ints (comparisons on the routing
-# hot path; values mirror chord.lookup enums only by name).
-_REC = 0
-_TRANS = 1
-_STYLES = {LookupStyle.RECURSIVE: _REC, LookupStyle.TRANSITIVE: _TRANS}
+#: What this engine does not do (feature -> wording), each refusal raised
+#: from here; the object engine does it all (docs/architecture.md).
+UNSUPPORTED = {
+    "contended uplinks": "contended access uplinks (Network contended_uplinks)",
+    "message loss": "message loss (a Network loss_rate)",
+    "fault plans": "fault plans and outage scripts (repro.faults)",
+    "rpc retransmits": "rpc retransmits (OverlayConfig.rpc_max_retransmits)",
+    "iterative lookups": "iterative lookups (LookupStyle.ITERATIVE)",
+    "node handles": "node objects for a driver to crash and join: non-exponential "
+    "or scripted churn, the interleaving stress harness (no node factory)",
+    "trace spans": "trace spans: rpc, lookup and DHT spans, cause-tagged drops",
+    "metrics": "run-time metrics: the lookup.* and rpc.* families",
+}
 
-_P_JOIN = 0
-_P_FINGER = 1
-_P_DHT = 2
+
+def unsupported(feature: str) -> ValueError:
+    """The refusal for one :data:`UNSUPPORTED` row."""
+    return ValueError(f"the columnar engine does not support {UNSUPPORTED[feature]}")
+
+
+# Lookup styles / purposes: the repro.chord.lookup enum members, bound
+# to module names for the routing hot path (compared with ``is``).
+_REC = LookupStyle.RECURSIVE
+_TRANS = LookupStyle.TRANSITIVE
+
+_P_JOIN = LookupPurpose.JOIN
+_P_FINGER = LookupPurpose.FINGER
+_P_DHT = LookupPurpose.DHT
 
 # Initiator-side lookup kinds (what _ev_done dispatches on).
 _K_WORKLOAD = 0
@@ -295,7 +319,8 @@ class ColumnarEngine:
     One instance replaces the per-node object graph (nodes, RPC layers,
     timers, drivers).  Construction order mirrors the object path:
     ``build`` (id draws + instant bootstrap + timer starts), then
-    ``start_churn``, then ``start_workload``.
+    ``start_churn``, then ``start_workload``, then ``run`` — the surface
+    of the object engine's :class:`~repro.experiments.builders.BuiltRing`.
     """
 
     def __init__(
@@ -305,14 +330,16 @@ class ColumnarEngine:
         config: OverlayConfig,
         layout: Optional[VermeIdLayout] = None,
     ) -> None:
-        if network.contended_uplinks:
-            raise ValueError("columnar engine does not support contended uplinks")
-        if network.loss_rate:
-            raise ValueError("columnar engine does not support message loss")
-        if network.fault_plan is not None:
-            raise ValueError("columnar engine does not support fault plans")
-        if config.rpc_max_retransmits:
-            raise ValueError("columnar engine does not support rpc retransmits")
+        for feature, asked in (
+            ("contended uplinks", network.contended_uplinks),
+            ("message loss", network.loss_rate),
+            ("fault plans", network.fault_plan is not None),
+            ("rpc retransmits", config.rpc_max_retransmits),
+            ("trace spans", OBS.trace is not None),
+            ("metrics", OBS.metrics is not None),
+        ):
+            if asked:
+                raise unsupported(feature)
         self._sim = sim
         self._net = network
         self._config = config
@@ -339,6 +366,7 @@ class ColumnarEngine:
         # The overlay arguments of repro.chord.rules (None: Chord).
         self._shift = layout.section_bits if self._verme else None
         self._tmask = layout.num_types - 1 if self._verme else 0
+        self._is_finger_target = partial(is_verme_finger_target, layout)
 
         # Accounting dicts, bound once (Network.send inlines the same).
         acct = network.accounting
@@ -514,6 +542,19 @@ class ColumnarEngine:
             self.elided += 1
         return self._sim._events_processed + self.elided - self.phantom
 
+    def run(self, until: float) -> int:
+        """Run the simulation to ``until`` with the built heap frozen
+        out of cyclic GC (:func:`frozen_gc`); returns the logical events
+        processed so far."""
+        with frozen_gc():
+            self._sim.run(until=until)
+        return self.logical_events(until)
+
+    @property
+    def factory(self):
+        """Rows are no node objects: there is no node factory."""
+        raise unsupported("node handles")
+
     # -- build: id draws, bootstrap, timer starts ---------------------------
 
     def _create_row(self, host: int, inc: int) -> int:
@@ -662,8 +703,10 @@ class ColumnarEngine:
     ) -> None:
         """Mirrors LookupWorkload.start (aggregate Poisson process, or
         the supplied ``repro.workload`` generator's keys and rates)."""
+        if style is LookupStyle.ITERATIVE:
+            raise unsupported("iterative lookups")
         self._wl_rng = rng
-        self._wl_style = _STYLES[style]
+        self._wl_style = style
         self._wl_interval = mean_interval_s
         self._stats = stats
         self._wl_gen = generator
@@ -755,12 +798,10 @@ class ColumnarEngine:
             if preds:
                 self._merge_succ(row, [preds[0]])
                 return
-            contacts = [e[1] for e in self.fingers[row].values()]
-            for r in self.rejoin[row]:
-                if r not in contacts:
-                    contacts.append(r)
-            if contacts:
-                hop = contacts[self.rejoin_next[row] % len(contacts)]
+            hop = rejoin_contact(
+                (e[1] for e in self.fingers[row].values()), self.rejoin[row], self.rejoin_next[row]
+            )
+            if hop is not None:
                 self.rejoin_next[row] += 1
                 self._lookup(
                     row,
@@ -880,20 +921,28 @@ class ColumnarEngine:
             else self._delay(self.host[dst_row], self.host[src_row], MIN_RPC_BYTES)
         )
         if t < deadline:
-            h = sim._run_until
-            if h is None:
-                heapq.heappush(sim._queue, (t, seq, self._ev_noop, (src_row,)))
-                sim._live += 1
-            elif t <= h:
-                self.elided += 1
-            else:
-                heapq.heappush(self._future_elided, t)
+            self._info_free_ack(t, seq, src_row)
         else:
             heapq.heappush(sim._queue, (t, seq, self._ev_noop, (src_row,)))
             heapq.heappush(
                 sim._queue, (deadline, timer_seq, self._ev_to_dead, (src_row, dst_entry))
             )
             sim._live += 2
+
+    def _info_free_ack(self, t: float, seq: int, caller: int) -> None:
+        """An in-time info-free reply due at ``t``: counted, not queued,
+        under a run horizon — unless the caller's crash is due by ``t``
+        (its kill was pushed first, so a tie is a crash first): then
+        ``_ev_noop`` counts the ``dead-destination`` drop."""
+        sim = self._sim
+        h = sim._run_until
+        if h is None or self.death_at[caller] <= t:
+            heapq.heappush(sim._queue, (t, seq, self._ev_noop, (caller,)))
+            sim._live += 1
+        elif t <= h:
+            self.elided += 1
+        else:
+            heapq.heappush(self._future_elided, t)
 
     def _ev_noop(self, dst_row: int) -> None:
         # A materialized info-free reply: delivery to a dead caller is a
@@ -974,11 +1023,9 @@ class ColumnarEngine:
         if kept is not None:
             self.preds[row] = kept
             self.pver[row] += 1
-        f = self.fingers[row]
-        dead = [k for k, e in f.items() if e[1] == dead_row]
-        if dead:
-            for k in dead:
-                del f[k]
+        kept = remove_finger_ref(self.fingers[row], dead_row)
+        if kept is not None:
+            self.fingers[row] = kept
             self.fver[row] += 1
 
     # -- fingers ------------------------------------------------------------
@@ -1108,7 +1155,7 @@ class ColumnarEngine:
             self._finish(st, None, 0, err, None)
             return
         entries = self._entries_for_key(row, st.key, st.purpose, owner_self)
-        if st.purpose == _P_DHT and st.meta is not None:
+        if st.purpose is _P_DHT and st.meta is not None:
             hook = self._dht_hook(row)
             if hook is not None:
                 self._hook_local(st, hook, entries)
@@ -1206,31 +1253,22 @@ class ColumnarEngine:
     def _entries_for_key(self, row: int, key: int, purpose: int, owner_self: bool):
         return entries_for_key(
             (self.node_id[row], row), key, owner_self, self.succs[row], self.preds[row],
-            self._num_succ, self._shift if purpose == _P_DHT else None,
+            self._num_succ, self._shift if purpose is _P_DHT else None,
         )
 
-    def _verify_core(self, term_row: int, init_row: int, key: int, purpose: int, meta):
+    def _verify_core(self, term_row: int, init_row: int, key: int, purpose, meta):
         if not self._verme:
             return None
-        cert_id = self.node_id[init_row]
-        if purpose == _P_JOIN:
-            if cert_id != key:
-                return "join lookup for a foreign id"
-            return None
-        if purpose == _P_FINGER:
-            if not is_verme_finger_target(self._layout, cert_id, key):
-                return "key is not a finger target of the certified id"
-            return None
-        verifier = self._dht_verifier(term_row)
-        if verifier is not None:
-            return verifier(init_row, key, meta)
-        return None
+        return purpose_error(
+            purpose, self.node_id[init_row], key, self._is_finger_target,
+            self._verify_dht, term_row, init_row, key, meta,
+        )
 
     # Hook points the fig6/7 facade layer overrides.
     def _dht_hook(self, row: int):
         return None
 
-    def _dht_verifier(self, row: int):
+    def _verify_dht(self, term_row: int, init_row: int, key: int, meta):
         return None
 
     def _hook_local(self, st, hook, entries) -> None:  # pragma: no cover
@@ -1251,10 +1289,17 @@ class ColumnarEngine:
             hops,
             st.meta,
             st.extra,
-            row if st.style == _TRANS else None,  # origin
+            row if st.style is _TRANS else None,  # origin
             row,  # initiator (certificate bearer)
         )
-        extra = st.extra
+        self._forward(row, dst_row, params, 0, st, st.category, st.op_tag)
+
+    def _forward(
+        self, row: int, dst_row: int, params: tuple, errk: int, errctx, category: str, op_tag
+    ) -> None:
+        """rpc.call of one ``route_forward``: burn the failure-timer and
+        send seqs, account the request, push its arrival at ``dst_row``."""
+        extra = params[6]
         size = self._fwd_base + extra
         if params[7] is not None:
             size += ADDR_BYTES
@@ -1265,8 +1310,6 @@ class ColumnarEngine:
         sim = self._sim
         seq = sim._next_seq  # rpc failure timer seq
         sim._next_seq = seq + 2  # + send seq
-        category = st.category
-        op_tag = st.op_tag
         self._acct_b[category] += size
         self._acct_m[category] += 1
         if op_tag is not None:
@@ -1283,7 +1326,7 @@ class ColumnarEngine:
                 t,
                 seq + 1,
                 self._ev_fwd,
-                (dst_row, row, params, deadline, seq, 0, st, category, op_tag),
+                (dst_row, row, params, deadline, seq, errk, errctx, category, op_tag),
             ),
         )
         sim._live += 1
@@ -1333,14 +1376,7 @@ class ColumnarEngine:
             else self._delay(self.host[dst_row], self.host[src_row], MIN_RPC_BYTES)
         )
         if t < deadline:
-            h = sim._run_until
-            if h is None:
-                heapq.heappush(sim._queue, (t, seq, self._ev_noop, (src_row,)))
-                sim._live += 1
-            elif t <= h:
-                self.elided += 1
-            else:
-                heapq.heappush(self._future_elided, t)
+            self._info_free_ack(t, seq, src_row)
         else:
             # Late ack: the sender's failure timer will re-route while
             # this node routes on — the one place a token's second
@@ -1366,7 +1402,7 @@ class ColumnarEngine:
         adm = self.adm[dst_row]
         if (
             adm is not None
-            and params[3] == _P_DHT
+            and params[3] is _P_DHT
             and (hops == 1 or not adm.policy.ingress_only)
         ):
             verdict = adm.admit(sim._now)
@@ -1404,7 +1440,7 @@ class ColumnarEngine:
         event is counted instead of queued — unless the row's crash
         comes first and cancels it, as in the object engine."""
         decision = None
-        if params[2] == _REC:
+        if params[2] is _REC:
             token = params[1]
             fwd = self.forwards[row]
             if token in fwd:
@@ -1458,48 +1494,9 @@ class ColumnarEngine:
             params[7],
             params[8],
         )
-        extra = params[6]
-        size = self._fwd_base + extra
-        if params[7] is not None:
-            size += ADDR_BYTES
-        if extra:
-            timeout = self._rpc_to + extra / _WORST_CASE_BANDWIDTH
-        else:
-            timeout = self._rpc_to
-        sim = self._sim
-        seq = sim._next_seq
-        sim._next_seq = seq + 2
-        self._acct_b[category] += size
-        self._acct_m[category] += 1
-        if op_tag is not None:
-            self._acct_o[op_tag] += size
-        deadline = sim._now + timeout
-        dst_row = nxt[1]
-        t = sim._now + (
-            self._latency(self.host[row], self.host[dst_row])
-            if self._bw is None
-            else self._delay(self.host[row], self.host[dst_row], size)
+        self._forward(
+            row, nxt[1], fwd_params, 1, (params, upstream, exclude), category, op_tag
         )
-        heapq.heappush(
-            sim._queue,
-            (
-                t,
-                seq + 1,
-                self._ev_fwd,
-                (
-                    dst_row,
-                    row,
-                    fwd_params,
-                    deadline,
-                    seq,
-                    1,
-                    (params, upstream, exclude),
-                    category,
-                    op_tag,
-                ),
-            ),
-        )
-        sim._live += 1
 
     def _ev_fwd_to(
         self, src_row: int, dead_row: int, errk: int, errctx, category: str, op_tag
@@ -1554,7 +1551,7 @@ class ColumnarEngine:
         purpose = params[3]
         entries = self._entries_for_key(row, key, purpose, owner_self)
         meta = params[5]
-        if purpose == _P_DHT and meta is not None:
+        if purpose is _P_DHT and meta is not None:
             hook = self._dht_hook(row)
             if hook is not None:
                 self._hook_terminal(row, params, upstream, hook, entries, category, op_tag)
@@ -1582,7 +1579,7 @@ class ColumnarEngine:
             payload = entries  # sealing is representation-free here
             size += len(entries) * self._entry_bytes + self._res_extra
         rparams = (params[1], ok, payload, app_payload, error, params[4], size)
-        if params[2] == _TRANS:
+        if params[2] is _TRANS:
             dst = params[7]
             if dst is None:
                 return

@@ -15,7 +15,7 @@ DHT layer code runs *unchanged* over the flat-array engine:
   messages, identical timeout handles, identical sequence numbers.
 * Only the control plane is columnar: ``adapter.lookup`` enters the
   engine's flat lookup state machine (kind ``CB``), and the engine's
-  hook points (``_dht_hook``/``_dht_verifier``/``_hook_local``/
+  hook points (``_dht_hook``/``_verify_dht``/``_hook_local``/
   ``_hook_terminal``) route terminal-node work back to the unchanged
   layer callbacks, converting ``(node_id, row)`` routing entries to
   :class:`~repro.chord.state.NodeInfo` at the boundary.
@@ -38,16 +38,10 @@ from ..crypto.certificates import CertificateAuthority
 from ..ids.assignment import NodeType
 from ..net.addressing import NodeAddress
 from ..sim import RngRegistry
-from .columnar import _K_CB, _P_DHT, _P_FINGER, _P_JOIN, _STYLES, ColumnarEngine
+from .columnar import _K_CB, ColumnarEngine, unsupported
 from .lookup import LookupPurpose, LookupResult, LookupStyle
 from .rpc import RpcLayer
 from .state import NodeInfo
-
-_PURPOSES = {
-    LookupPurpose.JOIN: _P_JOIN,
-    LookupPurpose.FINGER: _P_FINGER,
-    LookupPurpose.DHT: _P_DHT,
-}
 
 
 class _NeighborView:
@@ -70,10 +64,6 @@ class _NeighborView:
     def entries(self) -> List[NodeInfo]:
         engine = self._engine
         return [engine.info_of(e[1]) for e in self._entries()]
-
-    @property
-    def entries_view(self) -> List[NodeInfo]:
-        return self.entries
 
     @property
     def first(self) -> Optional[NodeInfo]:
@@ -183,6 +173,8 @@ class ColumnarNodeAdapter:
         receives the same :class:`LookupResult` the object node builds."""
         if first_hop is not None:
             raise ValueError("adapter lookups do not support first_hop")
+        if style is LookupStyle.ITERATIVE:
+            raise unsupported("iterative lookups")
         engine = self._engine
         if category is None:
             category = "lookup" if purpose is LookupPurpose.DHT else "maintenance"
@@ -209,34 +201,35 @@ class ColumnarNodeAdapter:
             self.row,
             key,
             _K_CB,
-            _PURPOSES[purpose],
+            purpose,
             category,
             op_tag=op_tag,
             meta=request_meta,
             extra=extra_request_bytes,
-            style=_STYLES[style] if style is not None else None,
+            style=style,
             done_cb=_deliver,
         )
 
 
 class ColumnarDhtEngine(ColumnarEngine):
     """Columnar engine plus the per-row adapters the DHT layers attach
-    to.  ``build_dht`` replaces ``build_ring`` in the fig6/7 driver."""
+    to, as ``nodes`` (the object ring's attribute for its DHT hosts).
+    Its ``build`` also dresses every row as a DHT host."""
 
     def __init__(self, sim, network, config, layout=None) -> None:
         super().__init__(sim, network, config, layout)
-        self.adapters: List[ColumnarNodeAdapter] = []
+        self.nodes: List[ColumnarNodeAdapter] = []
         self.ca: Optional[CertificateAuthority] = None
         self.certs: Optional[list] = None
         self.keypairs: Optional[list] = None
 
-    def build_dht(self, num_nodes: int, rngs: RngRegistry) -> None:
-        """``build`` the flat overlay, then dress every row: issue real
+    def build(self, num_nodes: int, rngs: RngRegistry) -> None:
+        """Build the flat overlay, then dress every row: issue real
         certificates (Verme) and create the adapters with their RPC
         layers.  Certificate issue draws no RNG, so doing it after the
         id draws leaves every stream identical to the object factory's
         interleaved order."""
-        self.build(num_nodes, rngs)
+        super().build(num_nodes, rngs)
         if self._verme:
             self.ca = CertificateAuthority()
             self.certs = []
@@ -247,28 +240,21 @@ class ColumnarDhtEngine(ColumnarEngine):
                 )
                 self.certs.append(cert)
                 self.keypairs.append(keys)
-        self.adapters = [
-            ColumnarNodeAdapter(self, row) for row in range(num_nodes)
-        ]
+        self.nodes = [ColumnarNodeAdapter(self, row) for row in range(num_nodes)]
 
     # -- engine hook points ------------------------------------------------
 
     def _dht_hook(self, row: int):
-        return self.adapters[row].dht_lookup_hook
+        return self.nodes[row].dht_lookup_hook
 
-    def _dht_verifier(self, row: int):
-        fn = self.adapters[row].verify_dht_lookup
+    def _verify_dht(self, term_row: int, init_row: int, key: int, meta):
+        fn = self.nodes[term_row].verify_dht_lookup
         if fn is None:
             return None
-        certs = self.certs
-
-        def _verify(init_row: int, key: int, meta):
-            # The object node hands the layer the initiator's (already
-            # CA-validated) certificate plus the request params; the
-            # layers only consult params["meta"].
-            return fn(certs[init_row], key, {"key": key, "meta": meta})
-
-        return _verify
+        # The object node hands the layer the initiator's (already
+        # CA-validated) certificate plus the request params; the layers
+        # only consult params["meta"].
+        return fn(self.certs[init_row], key, {"key": key, "meta": meta})
 
     def _hook_local(self, st, hook, entries) -> None:
         # Mirrors ChordNode._complete_local's hook branch: the hook sees

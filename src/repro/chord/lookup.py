@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .state import NodeInfo
+if TYPE_CHECKING:  # state -> rules -> lookup: annotations only
+    from .state import NodeInfo
 
 
 class LookupStyle(enum.Enum):

@@ -34,6 +34,7 @@ from .rules import (
     entries_for_key,
     finger_entry_allowed,
     first_maintained_finger,
+    rejoin_contact,
     route_candidates,
     route_next,
     stabilize_candidates,
@@ -329,10 +330,10 @@ class ChordNode:
             # re-running the join lookup for our own id through a
             # surviving finger, or — once those are purged too — through
             # the bootstrap cache, which failed attempts never empty.
-            contacts = [e.address for e in self.fingers.entries()]
-            contacts += [a for a in self._rejoin_contacts if a not in contacts]
-            if contacts:
-                hop = contacts[self._rejoin_next % len(contacts)]
+            hop = rejoin_contact(
+                (e.address for e in self.fingers.values()), self._rejoin_contacts, self._rejoin_next
+            )
+            if hop is not None:
                 self._rejoin_next += 1
                 self.lookup(
                     self.node_id,
@@ -626,7 +627,18 @@ class ChordNode:
     def _send_forward(
         self, state: _PendingLookup, token: tuple, dst: NodeAddress, hops: int
     ) -> None:
-        params = self._request_params(state, token, hops)
+        self._call_forward(
+            dst,
+            self._request_params(state, token, hops),
+            lambda err: self._first_hop_failed(state, dst),
+            state.category,
+            state.op_tag,
+        )
+
+    def _call_forward(
+        self, dst: NodeAddress, params: dict, on_error, category: str, op_tag: Optional[int]
+    ) -> None:
+        """One ``route_forward`` rpc, sized and timed from its params."""
         extra = params["extra_bytes"]
         size = self._forward_base_bytes + extra
         if params["origin"] is not None:
@@ -635,16 +647,9 @@ class ChordNode:
             timeout = self._rpc_timeout_s + extra / self._WORST_CASE_BANDWIDTH
         else:
             timeout = self._rpc_timeout_s
+        # No on_reply: the ack carries no information.
         self.rpc.call(
-            dst,
-            "route_forward",
-            params,
-            None,  # the ack carries no information
-            lambda err: self._first_hop_failed(state, dst),
-            timeout,
-            size,
-            state.category,
-            state.op_tag,
+            dst, "route_forward", params, None, on_error, timeout, size, category, op_tag
         )
 
     def _first_hop_failed(self, state: _PendingLookup, dst: NodeAddress) -> None:
@@ -890,25 +895,12 @@ class ChordNode:
             return
         fwd_params = dict(params)
         fwd_params["hops"] = params["hops"] + 1
-        # Wire size and per-hop timeout as in _send_forward.
-        extra = fwd_params["extra_bytes"]
-        size = self._forward_base_bytes + extra
-        if fwd_params["origin"] is not None:
-            size += ADDR_BYTES
-        if extra:
-            timeout = self._rpc_timeout_s + extra / self._WORST_CASE_BANDWIDTH
-        else:
-            timeout = self._rpc_timeout_s
-        self.rpc.call(
+        self._call_forward(
             nxt.address,
-            "route_forward",
             fwd_params,
-            None,  # the ack carries no information
             lambda err: self._forward_hop_failed(
                 params, upstream, exclude, nxt, category, op_tag
             ),
-            timeout,
-            size,
             category,
             op_tag,
         )

@@ -3,7 +3,8 @@
 Pure functions over ints and *entries* — pairs of a node id ``e[0]`` and
 a reference ``e[1]``: a :class:`~repro.chord.state.NodeInfo` in the
 object engine, a ``(node_id, row)`` tuple in :mod:`repro.chord.columnar`.
-References are only compared or looked up in ``exclude`` sets.  As in the
+References are only compared or looked up in ``exclude`` sets; finger
+tables are ``{k: entry}`` dicts, purposes :class:`LookupPurpose`.  As in the
 ASM description of Chord (Marinković et al.), each rule is a guard plus
 an update; the engines keep the state (and any cache of it).  ``shift``
 is ``None`` for Chord, else Verme's ``section_bits`` (``id >> shift`` is
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
+
+from .lookup import LookupPurpose
 
 #: Routing decisions ``(done, owner_self, next_entry)``; the three
 #: fieldwise-constant ones are shared, since callers only read them.
@@ -123,6 +126,23 @@ def remove_ref(entries, ref):
     return kept if len(kept) != len(entries) else None
 
 
+def remove_finger_ref(fingers: dict, ref):
+    """:func:`remove_ref` for a ``{k: entry}`` finger table (order kept)."""
+    kept = {k: e for k, e in fingers.items() if e[1] != ref}
+    return kept if len(kept) != len(fingers) else None
+
+
+def rejoin_contact(finger_refs, cached_refs, turn: int):
+    """Whom a stranded node (no successor, no predecessor) re-joins
+    through: its finger refs, then its cached refs not yet listed, taken
+    round-robin by ``turn``; ``None`` when it knows nobody."""
+    contacts = list(finger_refs)
+    for ref in cached_refs:
+        if ref not in contacts:
+            contacts.append(ref)
+    return contacts[turn % len(contacts)] if contacts else None
+
+
 def stabilize_candidates(own: int, succ, succ_succs, succ_pred, mask: int) -> list:
     """What a stabilize reply offers the successor list: the successor,
     its successor list, and its predecessor iff that lies in the open
@@ -184,3 +204,17 @@ def entries_for_key(own_entry, key: int, owner_self: bool, succs, preds, limit: 
     else:  # route_next only answers so when succs[0] is in the section
         group = [s for s in succs if (s[0] >> shift) == section]
     return group[:limit]
+
+
+def purpose_error(purpose, cert_id: int, key: int, is_finger_target, verify_dht, *args):
+    """§4.5: the refusal (or ``None``) of a Verme lookup by certified id
+    ``cert_id``.  A join must look up ``cert_id``, a finger lookup one of
+    its targets (``is_finger_target(cert_id, key)``); a DHT lookup is
+    ``verify_dht(*args)``'s to vet, if the layer installed one."""
+    if purpose is LookupPurpose.JOIN:
+        return None if cert_id == key else "join lookup for a foreign id"
+    if purpose is LookupPurpose.FINGER:
+        if is_finger_target(cert_id, key):
+            return None
+        return "key is not a finger target of the certified id"
+    return None if verify_dht is None else verify_dht(*args)

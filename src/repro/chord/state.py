@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from ..ids.idspace import IdSpace
 from ..net.addressing import NodeAddress
-from .rules import merge_neighbors, remove_ref
+from .rules import merge_neighbors, remove_finger_ref, remove_ref
 
 
 class NodeInfo(NamedTuple):
@@ -162,10 +162,9 @@ class FingerTable:
 
     def remove_address(self, address: NodeAddress) -> None:
         """Drop every finger reached at ``address`` (failure detector)."""
-        dead = [k for k, e in self._fingers.items() if e.address == address]
-        for k in dead:
-            del self._fingers[k]
-        if dead:
+        kept = remove_finger_ref(self._fingers, address)
+        if kept is not None:
+            self._fingers = kept
             self.version += 1
 
     def __len__(self) -> int:

@@ -15,7 +15,6 @@ transfer per hop, and Fast/Compromise puts add one cross-type copy.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence, Tuple, Type
 
@@ -32,7 +31,7 @@ from ..net.gtitm import GtItmConfig, gtitm_topology
 from ..net.message import DEFAULT_BLOCK_BYTES
 from ..net.network import Network
 from ..sim import RngRegistry, Simulator
-from .builders import build_ring
+from .builders import build_live_ring
 from .records import DhtOpRow
 
 DHT_SYSTEMS: Dict[str, Tuple[Type[DhtNode], bool]] = {
@@ -59,7 +58,7 @@ class DhtExperimentConfig:
     num_predecessors: int = 10
     op_interval_s: float = 2.0             # spacing between issued ops
     seed: int = 0
-    engine: str = "object"                 # "object" | "columnar"
+    engine: str = "object"                 # see builders.ENGINES
 
     def paper_scale(self) -> "DhtExperimentConfig":
         return replace(self, num_nodes=1740, num_sections=128, num_puts=200, num_gets=200)
@@ -111,8 +110,6 @@ def run_dht_cell_instrumented(
     count, for the perf-regression harness's events/s metric."""
     if system not in DHT_SYSTEMS:
         raise ValueError(f"unknown DHT system {system!r}")
-    if config.engine not in ("object", "columnar"):
-        raise ValueError(f"unknown engine {config.engine!r}")
     layer_cls, needs_verme = DHT_SYSTEMS[system]
     # str hashing is per-process randomised; derive_seed is stable.
     from ..sim.rng import derive_seed
@@ -133,16 +130,11 @@ def run_dht_cell_instrumented(
     if needs_verme:
         layout = VermeIdLayout.for_sections(overlay_cfg.space, config.num_sections)
     dht_cfg = DhtConfig(num_replicas=config.num_replicas)
-    engine = None
-    if config.engine == "columnar":
-        from ..chord.columnar_dht import ColumnarDhtEngine
-
-        engine = ColumnarDhtEngine(sim, network, overlay_cfg, layout)
-        engine.build_dht(config.num_nodes, rngs)
-        layers = [layer_cls(adapter, dht_cfg) for adapter in engine.adapters]
-    else:
-        ring = build_ring(sim, network, overlay_cfg, config.num_nodes, rngs, layout)
-        layers = [layer_cls(node, dht_cfg) for node in ring.nodes]
+    ring = build_live_ring(
+        config.engine, sim, network, overlay_cfg, config.num_nodes, rngs, layout,
+        dht=True,
+    )
+    layers = [layer_cls(node, dht_cfg) for node in ring.nodes]
     for layer in layers:
         layer.start()
 
@@ -167,36 +159,28 @@ def run_dht_cell_instrumented(
     values = [
         payload_rng.randbytes(config.block_bytes) for _ in range(config.num_puts)
     ]
-    if engine is not None:
-        from ..chord.columnar import frozen_gc
+    for i, value in enumerate(values):
+        layer = workload_rng.choice(layers)
+        sim.schedule(
+            i * config.op_interval_s,
+            lambda l=layer, v=value: l.put(v, record(put_stats)),
+        )
+    events = ring.run(config.num_puts * config.op_interval_s + 60.0)
 
-        run_gc = frozen_gc()
-    else:
-        run_gc = nullcontext()
-    with run_gc:
-        for i, value in enumerate(values):
+    # Phase 2: gets of the stored blocks from random other clients.
+    if stored_keys:
+        base = sim.now
+        for i in range(config.num_gets):
+            key = workload_rng.choice(stored_keys)
             layer = workload_rng.choice(layers)
             sim.schedule(
-                i * config.op_interval_s,
-                lambda l=layer, v=value: l.put(v, record(put_stats)),
+                base - sim.now + i * config.op_interval_s,
+                lambda l=layer, k=key: l.get(k, record(get_stats)),
             )
-        sim.run(until=config.num_puts * config.op_interval_s + 60.0)
-
-        # Phase 2: gets of the stored blocks from random other clients.
-        if stored_keys:
-            base = sim.now
-            for i in range(config.num_gets):
-                key = workload_rng.choice(stored_keys)
-                layer = workload_rng.choice(layers)
-                sim.schedule(
-                    base - sim.now + i * config.op_interval_s,
-                    lambda l=layer, k=key: l.get(k, record(get_stats)),
-                )
-            sim.run(until=base + config.num_gets * config.op_interval_s + 60.0)
+        events = ring.run(base + config.num_gets * config.op_interval_s + 60.0)
 
     for layer in layers:
         layer.stop()
-    events = engine.logical_events(sim.now) if engine is not None else sim.events_processed
     return DhtCellResult(system, get_stats, put_stats), events
 
 

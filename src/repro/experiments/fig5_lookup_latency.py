@@ -23,19 +23,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.stats import LookupStats
 from ..chord.config import OverlayConfig
-from ..chord.lookup import LookupStyle
-from ..chord.ring import ChurnDriver, LookupWorkload
 from ..ids.idspace import IdSpace
-from ..ids.sections import VermeIdLayout
-from ..net.king import KingCoordinates, king_matrix
-from ..net.network import Network
-from ..obs import OBS, maybe_phase
+from ..obs import OBS
 from ..sim import RngRegistry, Simulator
-from .builders import build_ring
+from .builders import run_live_cell
 from .records import Fig5Row
 
 SYSTEMS = ("chord-transitive", "chord-recursive", "verme")
-ENGINES = ("object", "columnar")
 
 
 @dataclass(frozen=True)
@@ -112,10 +106,6 @@ def run_cell_instrumented(
     for the perf-regression harness's events/s metric."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    if config.engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {config.engine!r} (available: {', '.join(ENGINES)})"
-        )
     # str hashing is per-process randomised; derive_seed is stable.
     from ..sim.rng import derive_seed
 
@@ -123,121 +113,29 @@ def run_cell_instrumented(
         derive_seed(config.seed, f"fig5:{system}:{mean_lifetime_s}:{run_index}")
     )
     sim = Simulator()
-    with maybe_phase("fig5.build"):
-        king_seed = rngs.stream("king").randrange(2**31)
-        if config.latency_model == "king-matrix":
-            latency = king_matrix(
-                num_hosts=config.num_nodes,
-                mean_rtt_s=config.mean_rtt_s,
-                seed=king_seed,
-            )
-        elif config.latency_model == "king-coords":
-            latency = KingCoordinates(
-                num_hosts=config.num_nodes,
-                mean_rtt_s=config.mean_rtt_s,
-                seed=king_seed,
-            )
-        else:
-            raise ValueError(f"unknown latency model {config.latency_model!r}")
-        network = Network(sim, latency)
-        overlay_cfg = config.overlay_config()
-        layout = None
-        if system == "verme":
-            layout = VermeIdLayout.for_sections(overlay_cfg.space, config.num_sections)
-        style = (
-            LookupStyle.TRANSITIVE
-            if system == "chord-transitive"
-            else LookupStyle.RECURSIVE
+    # Non-default workload presets get a generator and serving stats
+    # (tail latency / goodput); the defaults keep the plain LookupStats
+    # and the exact historical RNG stream.
+    generator = None
+    if config.workload != "poisson" or config.overload != "none":
+        from ..workload import ServingStats, build_generator
+
+        generator = build_generator(
+            config.workload,
+            config.overload,
+            config.id_bits,
+            config.mean_lookup_interval_s,
+            config.duration_s,
+            config.warmup_s,
         )
-        # Non-default workload presets get a generator and serving
-        # stats (tail latency / goodput); the defaults keep the plain
-        # LookupStats and the exact historical RNG stream.
-        generator = None
-        if config.workload != "poisson" or config.overload != "none":
-            from ..workload import ServingStats, build_generator
-
-            generator = build_generator(
-                config.workload,
-                config.overload,
-                overlay_cfg.space.bits,
-                config.mean_lookup_interval_s,
-                config.duration_s,
-                config.warmup_s,
-            )
-            stats: LookupStats = ServingStats(sim)
-        else:
-            stats = LookupStats()
-        engine = None
-        if config.engine == "columnar":
-            from ..chord.columnar import ColumnarEngine
-
-            engine = ColumnarEngine(sim, network, overlay_cfg, layout)
-            engine.build(config.num_nodes, rngs)
-            engine.start_churn(rngs.stream("churn"), mean_lifetime_s)
-            engine.start_workload(
-                rngs.stream("workload"),
-                style,
-                config.mean_lookup_interval_s,
-                stats,
-                config.warmup_s,
-                generator=generator,
-            )
-            population = engine.population
-        else:
-            ring = build_ring(
-                sim, network, overlay_cfg, config.num_nodes, rngs, layout
-            )
-
-            churn = ChurnDriver(
-                sim,
-                ring.population,
-                ring.factory,
-                rngs.stream("churn"),
-                mean_lifetime_s=mean_lifetime_s,
-            )
-            churn.start()
-
-            workload = LookupWorkload(
-                sim,
-                ring.population,
-                rngs.stream("workload"),
-                style=style,
-                mean_interval_s=config.mean_lookup_interval_s,
-                stats=stats,
-                warmup_s=config.warmup_s,
-                generator=generator,
-            )
-            workload.start()
-            population = ring.population
-
-        inv = OBS.invariants
-        if inv is not None:
-            # Roughly 20 samples per cell, but never below the
-            # stabilization period (checking faster than the protocol
-            # repairs is noise).
-            inv.watch(
-                sim,
-                population,
-                layout=layout,
-                until=config.duration_s,
-                interval_s=max(
-                    config.duration_s / 20.0, config.stabilize_interval_s
-                ),
-                cell=f"fig5.{system}.lt{mean_lifetime_s:g}.r{run_index}",
-            )
-    with maybe_phase("fig5.run", sim):
-        if engine is not None:
-            from ..chord.columnar import frozen_gc
-
-            with frozen_gc():
-                sim.run(until=config.duration_s)
-        else:
-            sim.run(until=config.duration_s)
-
-    events = (
-        engine.logical_events(config.duration_s)
-        if engine is not None
-        else sim.events_processed
+        stats: LookupStats = ServingStats(sim)
+    else:
+        stats = LookupStats()
+    # The per-cell prefix keeps grid cells distinct when snapshots merge.
+    prefix = f"fig5.{system}.lt{mean_lifetime_s:g}.r{run_index}"
+    network, events = run_live_cell(
+        "fig5", prefix, config, system, rngs, sim, stats, generator,
+        lifetime_s=mean_lifetime_s,
     )
     maintenance_bytes = network.accounting.category_bytes("maintenance")
     per_node_per_s = maintenance_bytes / (config.num_nodes * config.duration_s)
@@ -255,9 +153,7 @@ def run_cell_instrumented(
     )
     metrics = OBS.metrics
     if metrics is not None:
-        # Post-run publication (never in the event loop).  The per-cell
-        # prefix keeps grid cells distinct when snapshots merge.
-        prefix = f"fig5.{system}.lt{mean_lifetime_s:g}.r{run_index}"
+        # Post-run publication (never in the event loop).
         metrics.counter(prefix + ".lookups").inc(stats.total)
         metrics.counter(prefix + ".lookup_failures").inc(stats.failures)
         metrics.counter(prefix + ".maintenance_bytes").inc(maintenance_bytes)

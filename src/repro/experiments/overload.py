@@ -28,21 +28,15 @@ from typing import List, Tuple
 
 from ..chord.admission import AdmissionStats, NodeAdmission, ServicePolicy
 from ..chord.config import OverlayConfig
-from ..chord.lookup import LookupStyle
-from ..chord.ring import LookupWorkload
 from ..ids.idspace import IdSpace
-from ..ids.sections import VermeIdLayout
-from ..net.king import KingCoordinates, king_matrix
-from ..net.network import Network
-from ..obs import OBS, maybe_phase
+from ..obs import OBS
 from ..sim import RngRegistry, Simulator
 from ..workload import ServingStats, build_generator
-from .builders import build_ring
+from .builders import run_live_cell
 from .records import OverloadRow
 
 POLICIES = ("shed", "noshed")
 SYSTEMS = ("chord-transitive", "chord-recursive", "verme")
-ENGINES = ("object", "columnar")
 
 
 @dataclass(frozen=True)
@@ -119,10 +113,6 @@ def run_overload_cell(
     and the kernel event count (for the perf harness)."""
     if config.system not in SYSTEMS:
         raise ValueError(f"unknown system {config.system!r}")
-    if config.engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {config.engine!r} (available: {', '.join(ENGINES)})"
-        )
     from ..sim.rng import derive_seed
 
     # The engine name stays out of the seed: both engines must replay
@@ -133,102 +123,19 @@ def run_overload_cell(
     policy = config.policy(policy_name)
     adm_stats = AdmissionStats()
     sim = Simulator()
-    with maybe_phase("overload.build"):
-        king_seed = rngs.stream("king").randrange(2**31)
-        if config.latency_model == "king-matrix":
-            latency = king_matrix(
-                num_hosts=config.num_nodes,
-                mean_rtt_s=config.mean_rtt_s,
-                seed=king_seed,
-            )
-        elif config.latency_model == "king-coords":
-            latency = KingCoordinates(
-                num_hosts=config.num_nodes,
-                mean_rtt_s=config.mean_rtt_s,
-                seed=king_seed,
-            )
-        else:
-            raise ValueError(f"unknown latency model {config.latency_model!r}")
-        network = Network(sim, latency)
-        overlay_cfg = config.overlay_config()
-        layout = None
-        if config.system == "verme":
-            layout = VermeIdLayout.for_sections(
-                overlay_cfg.space, config.num_sections
-            )
-        style = (
-            LookupStyle.TRANSITIVE
-            if config.system == "chord-transitive"
-            else LookupStyle.RECURSIVE
-        )
-        generator = build_generator(
-            config.workload,
-            config.overload,
-            overlay_cfg.space.bits,
-            config.mean_lookup_interval_s,
-            config.duration_s,
-            config.warmup_s,
-        )
-        stats = ServingStats(sim)
-        engine = None
-        if config.engine == "columnar":
-            from ..chord.columnar import ColumnarEngine
-
-            engine = ColumnarEngine(sim, network, overlay_cfg, layout)
-            engine.set_admission(lambda: NodeAdmission(policy, adm_stats))
-            engine.build(config.num_nodes, rngs)
-            engine.start_workload(
-                rngs.stream("workload"),
-                style,
-                config.mean_lookup_interval_s,
-                stats,
-                config.warmup_s,
-                generator=generator,
-            )
-            population = engine.population
-        else:
-            ring = build_ring(
-                sim, network, overlay_cfg, config.num_nodes, rngs, layout
-            )
-            for node in ring.population.nodes:
-                node.admission = NodeAdmission(policy, adm_stats)
-            workload = LookupWorkload(
-                sim,
-                ring.population,
-                rngs.stream("workload"),
-                style=style,
-                mean_interval_s=config.mean_lookup_interval_s,
-                stats=stats,
-                warmup_s=config.warmup_s,
-                generator=generator,
-            )
-            workload.start()
-            population = ring.population
-        inv = OBS.invariants
-        if inv is not None:
-            inv.watch(
-                sim,
-                population,
-                layout=layout,
-                until=config.duration_s,
-                interval_s=max(
-                    config.duration_s / 20.0, config.stabilize_interval_s
-                ),
-                cell=f"overload.{policy_name}.r{run_index}",
-            )
-    with maybe_phase("overload.run", sim):
-        if engine is not None:
-            from ..chord.columnar import frozen_gc
-
-            with frozen_gc():
-                sim.run(until=config.duration_s)
-        else:
-            sim.run(until=config.duration_s)
-
-    events = (
-        engine.logical_events(config.duration_s)
-        if engine is not None
-        else sim.events_processed
+    generator = build_generator(
+        config.workload,
+        config.overload,
+        config.id_bits,
+        config.mean_lookup_interval_s,
+        config.duration_s,
+        config.warmup_s,
+    )
+    stats = ServingStats(sim)
+    prefix = f"overload.{policy_name}.r{run_index}"
+    _, events = run_live_cell(
+        "overload", prefix, config, config.system, rngs, sim, stats, generator,
+        admission=lambda: NodeAdmission(policy, adm_stats),
     )
     window = generator.overload_window
     if window is not None:
@@ -251,7 +158,6 @@ def run_overload_cell(
     )
     metrics = OBS.metrics
     if metrics is not None:
-        prefix = f"overload.{policy_name}.r{run_index}"
         metrics.counter(prefix + ".lookups").inc(stats.total)
         metrics.counter(prefix + ".lookup_failures").inc(stats.failures)
         metrics.counter(prefix + ".shed_rate").inc(adm_stats.shed_rate)

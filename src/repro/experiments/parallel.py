@@ -69,11 +69,6 @@ Cell = Tuple[Callable[..., Any], Tuple[Any, ...]]
 _last_worker_rss_kib: Dict[str, int] = {}
 
 
-def _run_cell(cell: Cell) -> Any:
-    fn, args = cell
-    return fn(*args)
-
-
 def _run_cell_rss(cell: Cell) -> Tuple[Any, str, int]:
     """Run one cell in a pool worker and report the worker's peak RSS."""
     fn, args = cell

@@ -16,11 +16,13 @@ switches to the paper's §7 configurations (minutes to an hour), and
 else (fig5: ``120``/``1k``/``10k``; fig8: ``1k``/``100k``/``1m`` —
 the same scales the committed ``BENCH_*.json`` baselines use).
 
-``--engine NAME`` selects the simulation engine: ``object`` (default)
-or ``columnar`` for fig5/fig6/fig7 (the flat-array live-protocol
-engine of :mod:`repro.chord.columnar`; bit-identical metrics, required
-at >=100k nodes), and ``columnar`` (default) or ``legacy`` for fig8's
-worm engines.  Unknown names are rejected with the available list.
+``--engine NAME`` selects the simulation engine: for fig5/fig6/fig7/
+overload one of :data:`~repro.experiments.builders.ENGINES` (rows are
+bit-identical on both), by default the first whose capability table —
+printed by ``--help`` — admits the flags: columnar, unless ``--trace``
+or ``--metrics`` needs the object engine; an engine lacking a row the
+flags need is a usage error.  fig8 picks a worm engine, ``columnar``
+(default) or ``legacy``.  Unknown names list the available ones.
 
 ``--workload NAME`` / ``--overload NAME`` (fig5 and overload) select
 the key-popularity model (``poisson``, ``zipf``) and the arrival shape
@@ -38,11 +40,12 @@ Observability (see :mod:`repro.obs` and ``docs/observability.md``):
 
 * ``--metrics FILE`` collects the run's metrics registry and writes a
   snapshot (JSON, or CSV when FILE ends in ``.csv``).  Byte-identical
-  at any ``--workers`` count.
+  at any ``--workers`` count.  Runs the live figures on the object
+  engine (see ``--engine``).
 * ``--trace FILE`` records a Chrome ``trace_event`` JSON viewable at
   https://ui.perfetto.dev.  Serial-only: forces ``--workers 1``.
-  Object engine only for the live figures: with ``--engine columnar``
-  fig5/fig6/fig7/overload refuse it (fig8's worm engines both trace).
+  Runs the live figures on the object engine too (fig8's worm engines
+  both trace).
 * ``--profile`` runs under cProfile *and* prints a per-phase
   wall/CPU/event-rate report.
 
@@ -72,8 +75,9 @@ from ..analysis.export import write_rows_csv, write_series_csv
 from ..analysis.tables import format_table
 from ..obs import OBS, disable as obs_disable, enable as obs_enable
 from ..worm import ENGINES as WORM_ENGINES, WormScenarioConfig
+from .builders import ENGINES as LIVE_ENGINES
 from .dht_ops import DhtExperimentConfig
-from .fig5_lookup_latency import ENGINES as OVERLAY_ENGINES, Fig5Config
+from .fig5_lookup_latency import Fig5Config
 from .fig8_worm_propagation import Fig8Config, curve_series, summarise_fig8_runs
 from .parallel import (
     fig8_curves,
@@ -121,17 +125,45 @@ PRESETS = {
 }
 
 
-#: ``--engine`` tables: the simulation engines each figure can run on,
-#: first entry = default.  fig5/6/7 share the overlay engines (object
-#: node graph vs the columnar flat-array engine, bit-identical
-#: metrics); fig8 has its own pair of worm engines.
+#: The figures that run the live protocol, on :data:`LIVE_ENGINES`.
+LIVE_FIGURES = ("fig5", "fig6", "fig7", "overload")
+
+#: ``--engine`` tables: the engines each figure can run on (live
+#: figures: see :func:`_live_engine`; fig8: first entry = default).
 ENGINE_CHOICES = {
-    "fig5": OVERLAY_ENGINES,
-    "fig6": OVERLAY_ENGINES,
-    "fig7": OVERLAY_ENGINES,
+    **{figure: tuple(LIVE_ENGINES) for figure in LIVE_FIGURES},
     "fig8": ("columnar",) + tuple(e for e in sorted(WORM_ENGINES) if e != "columnar"),
-    "overload": OVERLAY_ENGINES,
 }
+
+#: The flags that need a row of the live engines' capability tables.
+FLAG_ROWS = {"trace": "trace spans", "metrics": "metrics"}
+
+
+def _engine_table() -> str:
+    """The live engines' capability tables, rendered for ``--help``."""
+    lines = ["live engines (fig5/fig6/fig7/overload), in default order, and "
+             "what each does not support:"]
+    for name, table in LIVE_ENGINES.items():
+        lines.append(f"  {name}:" + (" nothing" if not table else ""))
+        lines.extend(f"    - {wording}" for wording in table.values())
+    return "\n".join(lines)
+
+
+def _live_engine(parser, args) -> str:
+    """``--engine`` if given, else the first live engine whose table
+    admits every row the flags need; a named engine that lacks one is a
+    usage error quoting the row."""
+    rows = [(flag, row) for flag, row in FLAG_ROWS.items() if getattr(args, flag)]
+    for name in [args.engine] if args.engine else LIVE_ENGINES:
+        lacking = [(flag, row) for flag, row in rows if row in LIVE_ENGINES[name]]
+        if not lacking:
+            return name
+    flag, row = lacking[0]
+    able = [engine for engine, table in LIVE_ENGINES.items() if row not in table]
+    parser.error(
+        f"--{flag}: {'/'.join(able)} engine only — the {name} engine does not support "
+        f"{LIVE_ENGINES[name][row]}; use --engine {able[0]} or drop --{flag}"
+    )
 
 
 def _apply_preset(args, cfg):
@@ -140,34 +172,18 @@ def _apply_preset(args, cfg):
     return cfg
 
 
-def _apply_engine(args, cfg):
-    if args.engine is not None:
-        cfg = replace(cfg, engine=args.engine)
-    return cfg
-
-
-def _apply_seed(args, cfg):
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _apply_workload(args, cfg):
-    if args.workload is not None:
-        cfg = replace(cfg, workload=args.workload)
-    if args.overload is not None:
-        cfg = replace(cfg, overload=args.overload)
-    return cfg
+def _overrides(args, cfg):
+    """``cfg`` with every given config-field flag (the parser admits a
+    flag only for the figures whose configs have the field)."""
+    flags = ("seed", "engine", "workload", "overload")
+    return replace(cfg, **{f: getattr(args, f) for f in flags if getattr(args, f) is not None})
 
 
 def _fig5(args) -> None:
     cfg = Fig5Config()
     if args.paper_scale:
         cfg = cfg.paper_scale()
-    cfg = _apply_preset(args, cfg)
-    cfg = _apply_seed(args, cfg)
-    cfg = _apply_engine(args, cfg)
-    cfg = _apply_workload(args, cfg)
+    cfg = _overrides(args, _apply_preset(args, cfg))
     rows = run_fig5_parallel(cfg, workers=args.workers)
     if args.csv:
         print(f"wrote {write_rows_csv(Path(args.csv) / 'fig5.csv', rows)}")
@@ -184,8 +200,7 @@ def _fig67(args, which: str) -> None:
     cfg = DhtExperimentConfig(num_nodes=400, num_sections=32)
     if args.paper_scale:
         cfg = cfg.paper_scale()
-    cfg = _apply_seed(args, cfg)
-    cfg = _apply_engine(args, cfg)
+    cfg = _overrides(args, cfg)
     results = run_dht_parallel(cfg, workers=args.workers)
     if args.csv:
         flat = [row for res in results for row in res.rows()]
@@ -213,16 +228,7 @@ def _fig8(args) -> None:
     if args.paper_scale:
         cfg = cfg.paper_scale()
     cfg = _apply_preset(args, cfg)
-    if args.seed is not None:
-        cfg = replace(
-            cfg,
-            scenario_config=replace(cfg.scenario_config, seed=args.seed),
-        )
-    if args.engine is not None and args.engine != cfg.scenario_config.engine:
-        cfg = replace(
-            cfg,
-            scenario_config=replace(cfg.scenario_config, engine=args.engine),
-        )
+    cfg = replace(cfg, scenario_config=_overrides(args, cfg.scenario_config))
     grouped = run_fig8_cells(cfg, workers=args.workers)
     rows = [summarise_fig8_runs(s, results) for s, results in grouped.items()]
     if args.csv:
@@ -246,8 +252,7 @@ def _resilience(args) -> None:
     cfg = ResilienceConfig()
     if args.paper_scale:
         cfg = cfg.paper_scale()
-    cfg = _apply_seed(args, cfg)
-    rows = run_resilience(cfg)
+    rows = run_resilience(_overrides(args, cfg))
     if args.csv:
         print(f"wrote {write_rows_csv(Path(args.csv) / 'resilience.csv', rows)}")
     print(format_table(
@@ -262,8 +267,7 @@ def _resilience(args) -> None:
 
 
 def _ablations(args) -> None:
-    cfg = WormScenarioConfig(num_nodes=3000, num_sections=128, seed=9)
-    cfg = _apply_seed(args, cfg)
+    cfg = _overrides(args, WormScenarioConfig(num_nodes=3000, num_sections=128, seed=9))
     out = run_ablations_parallel(cfg, until=200.0, workers=args.workers)
     nf = out["naive_finger"]
     print("finger displacement:")
@@ -285,11 +289,7 @@ def _ablations(args) -> None:
 def _overload(args) -> None:
     from .overload import OverloadConfig, run_overload, smoke_config
 
-    cfg = smoke_config() if args.smoke else OverloadConfig()
-    cfg = _apply_seed(args, cfg)
-    cfg = _apply_engine(args, cfg)
-    cfg = _apply_workload(args, cfg)
-    rows = run_overload(cfg)
+    rows = run_overload(_overrides(args, smoke_config() if args.smoke else OverloadConfig()))
     if args.csv:
         print(f"wrote {write_rows_csv(Path(args.csv) / 'overload.csv', rows)}")
     print(format_table(
@@ -330,6 +330,7 @@ def main(argv=None) -> int:
     """
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner", description=__doc__,
+        epilog=_engine_table(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
@@ -347,10 +348,12 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=2, help="fig8 repetitions")
     parser.add_argument(
         "--engine", metavar="NAME", default=None,
-        help="simulation engine (fig5/fig6/fig7: object, columnar; "
-             "fig8: columnar, legacy); both engines of a figure emit "
-             "bit-identical metrics, the default is the figure's "
-             "reference engine (fig8: columnar)")
+        help=f"simulation engine ({'/'.join(LIVE_FIGURES)}: "
+             f"{', '.join(LIVE_ENGINES)}, by default the first whose "
+             f"table below supports the run's flags; fig8: "
+             f"{', '.join(ENGINE_CHOICES['fig8'])}, default "
+             f"{ENGINE_CHOICES['fig8'][0]}); both engines of a figure "
+             "emit bit-identical rows")
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="processes for fig5/fig6/fig7/fig8/ablations cells (1 = "
@@ -424,12 +427,8 @@ def main(argv=None) -> int:
                          f"(choices: {', '.join(OVERLOADS)})")
     if args.smoke and args.figure != "overload":
         parser.error("--smoke is only supported for overload")
-    if args.trace is not None and args.engine == "columnar" and args.figure != "fig8":
-        parser.error(
-            "--trace records spans on the object engine only for now: the "
-            "columnar live engine emits almost none of them; use --engine "
-            "object (or drop --trace)"
-        )
+    if args.figure in LIVE_FIGURES:
+        args.engine = _live_engine(parser, args)
     if args.trace is not None and args.workers != 1:
         print("--trace is serial-only; forcing --workers 1", file=sys.stderr)
         args.workers = 1
@@ -535,6 +534,8 @@ def _repro_command(args) -> str:
                 "resilience": ResilienceConfig().seed,
             }.get(args.figure, 0)
     parts.append(f"--seed {seed}")
+    if args.figure in LIVE_FIGURES:
+        parts.append(f"--engine {args.engine}")
     if getattr(args, "smoke", False):
         parts.append("--smoke")
     parts.append("--invariants strict")

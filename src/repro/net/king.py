@@ -148,3 +148,14 @@ class KingCoordinates:
         value = one_way * self._scale
         self._cache[key] = value
         return value
+
+
+#: The latency models by config name (``Fig5Config.latency_model``).
+KING_MODELS = {"king-matrix": king_matrix, "king-coords": KingCoordinates}
+
+
+def king_model(name: str, num_hosts: int, mean_rtt_s: float, seed: int):
+    """The :data:`KING_MODELS` model called ``name``; unknown names raise."""
+    if name not in KING_MODELS:
+        raise ValueError(f"unknown latency model {name!r} (available: {', '.join(KING_MODELS)})")
+    return KING_MODELS[name](num_hosts=num_hosts, mean_rtt_s=mean_rtt_s, seed=seed)

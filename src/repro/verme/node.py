@@ -19,18 +19,21 @@ paper's deltas:
   sealed with the initiator's public key so intermediate hops never see
   the returned addresses (§4.5).
 
-Ownership, the containment refusal and the replica group are rules of
-:mod:`repro.chord.rules`, shared with the columnar engine; this class
-supplies their Verme arguments (section bits and type-field mask).
+Ownership, the containment refusal, the replica group and the §4.5
+purpose check are rules of :mod:`repro.chord.rules`, shared with the
+columnar engine; this class supplies their Verme arguments (section
+bits, type-field mask, finger-target test).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional
 
 from ..chord.config import OverlayConfig
-from ..chord.lookup import LookupPurpose, LookupStyle
+from ..chord.lookup import LookupStyle
 from ..chord.node import ChordNode
+from ..chord.rules import purpose_error
 from ..chord.state import NodeInfo
 from ..crypto.certificates import CertificateAuthority, KeyPair, NodeCertificate
 from ..crypto.sealed import SealError, seal
@@ -84,6 +87,7 @@ class VermeNode(ChordNode):
         # type field is the low bits of the section index.
         self._shift = layout.section_bits
         self._tmask = layout.num_types - 1
+        self._is_finger_target = partial(is_verme_finger_target, layout)
         super().__init__(sim, network, config, cert.node_id, address, jitter_rng)
 
     # -- identity -------------------------------------------------------------
@@ -129,18 +133,10 @@ class VermeNode(ChordNode):
             return "missing certificate"
         if not self.ca.verify(cert):
             return "invalid certificate"
-        purpose: LookupPurpose = params["purpose"]
-        if purpose is LookupPurpose.JOIN:
-            if cert.node_id != key:
-                return "join lookup for a foreign id"
-            return None
-        if purpose is LookupPurpose.FINGER:
-            if not is_verme_finger_target(self.layout, cert.node_id, key):
-                return "key is not a finger target of the certified id"
-            return None
-        if self.verify_dht_lookup is not None:
-            return self.verify_dht_lookup(cert, key, params)
-        return None
+        return purpose_error(
+            params["purpose"], cert.node_id, key, self._is_finger_target,
+            self.verify_dht_lookup, cert, key, params,
+        )
 
     def _package_result(self, entries: List[NodeInfo], params: dict) -> object:
         cert: NodeCertificate = params["cert"]

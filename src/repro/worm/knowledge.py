@@ -14,7 +14,7 @@ turn out to be invulnerable.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol
 
 import numpy as np
 
@@ -51,11 +51,9 @@ class RoutingKnowledge:
         num_predecessors: int = 0,
         same_type_only: bool = False,
         layout: Optional[VermeIdLayout] = None,
-        node_types: Optional[Sequence[int]] = None,
     ) -> None:
         """``same_type_only`` models the worm reading types from ids
-        (requires ``layout``); ``node_types`` supplies per-index types
-        for overlays whose ids do not encode them (Chord)."""
+        (requires ``layout``)."""
         if same_type_only and layout is None:
             raise ValueError("same_type_only filtering needs a VermeIdLayout")
         self.overlay = overlay
@@ -63,7 +61,6 @@ class RoutingKnowledge:
         self.num_predecessors = num_predecessors
         self.same_type_only = same_type_only
         self.layout = layout
-        self.node_types = node_types
 
     def targets_of(self, index: int) -> List[int]:
         indices = self.overlay.routing_target_indices(

@@ -16,11 +16,15 @@ from hypothesis import strategies as st
 
 from repro.chord.columnar import ColumnarEngine
 from repro.chord.config import OverlayConfig
+from repro.chord.lookup import LookupPurpose
 from repro.chord.rules import (
     entries_for_key,
     finger_entry_allowed,
     first_maintained_finger,
     merge_neighbors,
+    purpose_error,
+    rejoin_contact,
+    remove_finger_ref,
     remove_ref,
     route_candidates,
     route_next,
@@ -32,6 +36,7 @@ from repro.net.latency import MatrixLatency
 from repro.net.network import Network
 from repro.overlay import StaticOverlay, VermeStaticOverlay
 from repro.sim import RngRegistry, Simulator
+from repro.verme.fingers import is_verme_finger_target, verme_finger_target
 
 # -- route_next -------------------------------------------------------------------
 
@@ -184,6 +189,37 @@ def test_remove_ref_filters_by_reference(case, ref):
 
 
 @given(
+    st.dictionaries(
+        st.integers(0, 63), st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 3)),
+        max_size=8,
+    ),
+    st.integers(0, 3),
+)
+def test_remove_finger_ref_filters_by_reference_keeping_finger_order(fingers, ref):
+    kept = [(k, e) for k, e in fingers.items() if e[1] != ref]
+    got = remove_finger_ref(fingers, ref)
+    if len(kept) == len(fingers):
+        assert got is None
+    else:
+        assert list(got.items()) == kept
+
+
+@given(
+    st.lists(st.integers(0, 5), max_size=6),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.integers(0, 40),
+)
+def test_rejoin_contact_round_robins_fingers_then_new_cache_refs(fingers, cached, turn):
+    """Every finger ref (repeats included), then each cached ref the
+    first time it appears and only if no finger has it; ``turn`` picks
+    among them cyclically."""
+    fresh = [r for i, r in enumerate(cached) if r not in fingers and r not in cached[:i]]
+    contacts = fingers + fresh
+    expected = contacts[turn % len(contacts)] if contacts else None
+    assert rejoin_contact(iter(fingers), cached, turn) == expected
+
+
+@given(
     st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1),
     st.lists(st.integers(0, 2**16 - 1), max_size=4),
     st.one_of(st.none(), st.integers(0, 2**16 - 1)),
@@ -243,6 +279,45 @@ def test_finger_entry_allowed_matches_the_containment_invariant(case):
         own, eid, layout.section_bits, layout.num_types - 1
     ) == (eid != own and not violates)
     assert finger_entry_allowed(own, eid, None, 0) == (eid != own)
+
+
+@given(_layout_pair(), st.sampled_from(list(LookupPurpose)), st.data())
+def test_purpose_error_is_the_section_4_5_legitimacy_check(case, purpose, data):
+    """Joins look up the certified id, finger lookups one of its
+    finger targets (every ``verme_finger_target`` over ``k``), and DHT
+    lookups are whatever the installed verifier says."""
+    layout, cert_id, other = case
+    key = data.draw(
+        st.one_of(
+            st.just(other), st.just(cert_id),
+            st.integers(0, layout.space.bits - 1).map(
+                lambda k: verme_finger_target(layout, cert_id, k)
+            ),
+        )
+    )
+    targets = {verme_finger_target(layout, cert_id, k) for k in range(layout.space.bits)}
+
+    def is_finger_target(c, k):
+        return is_verme_finger_target(layout, c, k)
+
+    calls = []
+
+    def verify(*args):
+        calls.append(args)
+        return "refused by the layer"
+
+    got = purpose_error(purpose, cert_id, key, is_finger_target, verify, "a", 1)
+    if purpose is LookupPurpose.JOIN:
+        assert got == (None if key == cert_id else "join lookup for a foreign id")
+    elif purpose is LookupPurpose.FINGER:
+        assert got == (
+            None if key in targets else "key is not a finger target of the certified id"
+        )
+    else:
+        assert got == "refused by the layer" and calls == [("a", 1)]
+        assert purpose_error(purpose, cert_id, key, is_finger_target, None) is None
+    if purpose is not LookupPurpose.DHT:
+        assert not calls
 
 
 # -- entries_for_key on converged rings --------------------------------------------

@@ -133,3 +133,64 @@ def test_trace_refuses_the_columnar_live_engine(figure, tmp_path, capsys):
     assert exc.value.code == 2
     assert "object engine only" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _tiny_fig5(monkeypatch):
+    """Shrink fig5 and record which engine each run used."""
+    from repro.experiments.fig5_lookup_latency import Fig5Config
+
+    original = Fig5Config
+
+    def tiny(**kwargs):
+        return original(
+            num_nodes=40, duration_s=200.0, warmup_s=30.0,
+            mean_lifetimes_s=(3600.0,), **kwargs,
+        )
+
+    engines = []
+    run = runner_mod.run_fig5_parallel
+
+    def recording(cfg, workers):
+        engines.append(cfg.engine)
+        return run(cfg, workers=workers)
+
+    monkeypatch.setattr(runner_mod, "Fig5Config", tiny)
+    monkeypatch.setattr(runner_mod, "run_fig5_parallel", recording)
+    return engines
+
+
+def _table(out):
+    """The figure's result table: the printed lines before the summary,
+    minus the metrics-snapshot notice."""
+    return [
+        line for line in out.split("\n[fig5 done")[0].splitlines()
+        if not line.startswith("metrics snapshot written")
+    ]
+
+
+def test_default_engine_is_the_first_the_flags_allow(monkeypatch, capsys, tmp_path):
+    """fig5 alone runs columnar; --metrics needs the object engine's
+    lookup/rpc families, so it runs object; the rows are identical."""
+    engines = _tiny_fig5(monkeypatch)
+    assert main(["fig5"]) == 0
+    plain = _table(capsys.readouterr().out)
+    metrics = tmp_path / "m.json"
+    assert main(["fig5", "--metrics", str(metrics)]) == 0
+    metered = _table(capsys.readouterr().out)
+    assert engines == ["columnar", "object"]
+    assert plain == metered
+    assert "lookup.successes" in metrics.read_text()
+
+
+@pytest.mark.parametrize("flag, row", [("--metrics", "metrics"), ("--trace", "trace spans")])
+def test_columnar_with_an_object_only_flag_is_a_usage_error(flag, row, tmp_path, capsys):
+    from repro.chord.columnar import UNSUPPORTED
+
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fig5", "--engine", "columnar", flag, str(out)])
+    assert exc.value.code == 2
+    err = " ".join(capsys.readouterr().err.split())
+    assert UNSUPPORTED[row] in err
+    assert "--engine object" in err
+    assert not out.exists()

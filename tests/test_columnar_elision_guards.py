@@ -17,8 +17,7 @@ from repro.analysis.stats import LookupStats
 from repro.chord.columnar import ColumnarEngine
 from repro.chord.config import OverlayConfig
 from repro.chord.lookup import LookupStyle
-from repro.chord.ring import ChurnDriver, LookupWorkload
-from repro.experiments.builders import build_ring
+from repro.experiments.builders import build_live_ring
 from repro.ids.idspace import IdSpace
 from repro.ids.sections import VermeIdLayout
 from repro.net.king import king_matrix
@@ -48,44 +47,24 @@ class _Cell:
         self.network = Network(self.sim, latency)
         self.stats = LookupStats()
         layout = VermeIdLayout.for_sections(config.space, 8) if verme else None
-        self.engine = None
-        if engine == "columnar":
-            self.engine = ColumnarEngine(self.sim, self.network, config, layout)
-            self.engine.build(nodes, rngs)
-            self.engine.start_churn(rngs.stream("churn"), lifetime_s)
-            self.engine.start_workload(
-                rngs.stream("workload"), LookupStyle.RECURSIVE, interval_s, self.stats, 0.0
-            )
-        else:
-            ring = build_ring(self.sim, self.network, config, nodes, rngs, layout)
-            ChurnDriver(
-                self.sim, ring.population, ring.factory, rngs.stream("churn"),
-                mean_lifetime_s=lifetime_s,
-            ).start()
-            LookupWorkload(
-                self.sim, ring.population, rngs.stream("workload"),
-                style=LookupStyle.RECURSIVE, mean_interval_s=interval_s,
-                stats=self.stats, warmup_s=0.0,
-            ).start()
+        self.engine = build_live_ring(engine, self.sim, self.network, config, nodes, rngs, layout)
+        self.engine.start_churn(rngs.stream("churn"), lifetime_s)
+        self.engine.start_workload(
+            rngs.stream("workload"), LookupStyle.RECURSIVE, interval_s, self.stats, 0.0
+        )
 
     def read(self):
-        """Everything the engines must agree on at a quiescent point.
-        (Not the drop counters: an elided ack to a crashed caller was
-        never counted as a drop, before this module's rules or after.)"""
+        """Everything the engines must agree on at a quiescent point."""
         accounting = self.network.accounting
-        events = (
-            self.engine.logical_events(self.sim.now)
-            if self.engine is not None
-            else self.sim.events_processed
-        )
         return {
             "now": self.sim.now,
-            "events": events,
+            "events": self.engine.logical_events(self.sim.now),
             "latencies": list(self.stats.latencies_s),
             "hops": list(self.stats.hops),
             "failures": self.stats.failures,
             "bytes": dict(accounting.bytes_by_category),
             "messages": dict(accounting.messages_by_category),
+            "drops": dict(self.network.drops_by_cause),
         }
 
 
@@ -142,6 +121,20 @@ def test_relay_killed_while_reply_chain_in_flight():
     assert dead_relay_hops[0] > 0
     assert col.engine.elided > 0
     assert col.stats.failures > 0
+
+
+def test_ack_to_a_caller_that_crashes_first_is_a_counted_drop():
+    """death_at guard on info-free replies: a per-hop ack or notify/ping
+    reply whose caller's crash is due by its arrival is queued, so the
+    ``dead-destination`` drop it is in the object engine is counted
+    here too (``read`` compares the drop counters)."""
+
+    def instrument(engine):
+        return _count_calls(engine, "_ev_noop", lambda row: not engine.alive[row])
+
+    col, dead_caller_acks = _compare(BASE, [120.0], instrument, lifetime_s=20.0)
+    assert dead_caller_acks[0] > 0
+    assert col.engine.elided > 0
 
 
 def test_late_ack_fork_shares_a_token_between_two_chains():

@@ -66,20 +66,20 @@ def test_same_type_filter_requires_layout():
         RoutingKnowledge(overlay, same_type_only=True)
 
 
-def test_chord_knowledge_with_node_types_filter():
+def test_chord_knowledge_with_layout_filter():
+    """A layout reads types off any overlay's ids, Chord's included: the
+    filtered targets are exactly the unfiltered ones of the node's type."""
     rng = random.Random(3)
     ids = sorted(rng.sample(range(SPACE.size), 100))
     overlay = StaticOverlay(SPACE, [NodeInfo(i, NodeAddress(n)) for n, i in enumerate(ids)])
-    types = [n % 2 for n in range(100)]
     knowledge = RoutingKnowledge(
-        overlay, num_successors=5, same_type_only=True,
-        layout=LAYOUT, node_types=types,
+        overlay, num_successors=5, same_type_only=True, layout=LAYOUT
     )
-    # layout given but node types explicit: layout wins per implementation;
-    # here we just verify filtering returns a subset of all entries.
     unfiltered = RoutingKnowledge(overlay, num_successors=5)
     for idx in (0, 10, 50):
-        assert set(knowledge.targets_of(idx)) <= set(unfiltered.targets_of(idx))
+        own = LAYOUT.type_of(ids[idx])
+        expected = [t for t in unfiltered.targets_of(idx) if LAYOUT.type_of(ids[t]) == own]
+        assert knowledge.targets_of(idx) == expected
 
 
 def test_impersonator_knowledge_targets_victim_type():
