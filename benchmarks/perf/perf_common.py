@@ -1,14 +1,16 @@
-"""Shared plumbing for the perf-regression suite.
+"""Shared plumbing for the perf records.
 
-Each benchmark in this directory is a standalone CLI that runs one
-workload, measures it, and writes a ``BENCH_<name>.json`` record at the
-repository root (override with ``--out``).  The record schema is what
-``scripts/compare_bench.py`` diffs and CI validates:
+Two scripts in this directory write schema-v1 records:
+``kernel_throughput.py`` (one record, ``BENCH_kernel.json``) and
+``ladder.py`` (a list of them, one per rung, ``BENCH_scaling.json``).
+The schema is what ``scripts/compare_bench.py`` validates and diffs:
 
-* ``name`` — benchmark identity; only same-name records compare;
+* ``name`` — benchmark identity (a rung's name); only same-name
+  records compare;
 * ``schema_version`` — bump when fields change incompatibly;
 * ``wall_clock_s`` / ``events`` / ``events_per_s`` — the measurements
-  (``events`` is the kernel's ``events_processed`` delta);
+  (kernel events for the microbenchmark; for a rung, the suite's
+  logical events over its ``run_wall_s``);
 * ``peak_rss_kib`` — ``ru_maxrss`` of the process, KiB on Linux;
 * ``seed`` — the experiment seed, so a record pins a reproducible run;
 * ``machine`` — fingerprint (platform, python, CPU count) so
@@ -17,8 +19,9 @@ repository root (override with ``--out``).  The record schema is what
   parameters are not comparable and ``compare_bench.py`` refuses them.
 
 A record is also rejected as degenerate when any measurement or metric
-is non-finite, when it counts no events, or when a ``*lookups`` metric
-is zero: such a run measured nothing, whatever its wall clock says.
+is non-finite or a bool, when it counts no events, or when a
+``*lookups`` metric is zero: such a run measured nothing, whatever its
+wall clock says.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ import math
 import os
 import platform
 import sys
-import time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Union
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -116,6 +118,9 @@ def validate_record(record: Any) -> None:
     numbers = {"wall_clock_s": record["wall_clock_s"],
                "events_per_s": record["events_per_s"], **metrics}
     for field, value in numbers.items():
+        # bool is an int subclass: {"lookups": true} is not a count.
+        if isinstance(value, bool):
+            raise ValueError(f"{field} is a bool ({value}), not a number")
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ValueError(f"{field} is not finite ({value})")
     # A record that measured no work is degenerate, however fast it ran.
@@ -127,21 +132,15 @@ def validate_record(record: Any) -> None:
             raise ValueError(f"{field} is {value}: the run completed no lookups")
 
 
-def write_record(record: Dict[str, Any], out: Optional[str] = None) -> Path:
-    """Write the record (default: ``BENCH_<name>.json`` at repo root)."""
-    validate_record(record)
+def write_record(
+    record: Union[Dict[str, Any], List[Dict[str, Any]]], out: Optional[str] = None
+) -> Path:
+    """Validate and write one record, or a list of them (one per ladder
+    rung); a single record defaults to ``BENCH_<name>.json`` at the
+    repository root."""
+    for each in record if isinstance(record, list) else [record]:
+        validate_record(each)
     path = Path(out) if out else REPO_ROOT / f"BENCH_{record['name']}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return path
-
-
-class Timer:
-    """``with Timer() as t: ...; t.elapsed`` — wall clock, monotonic."""
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start

@@ -1,23 +1,29 @@
 #!/usr/bin/env python
-"""Docs sanity checker: links resolve, documented commands exist.
+"""Docs sanity checker: links resolve, documented commands and files exist.
 
 Run from the repository root (CI's ``docs-check`` step does)::
 
     python scripts/check_docs.py
 
-Two classes of drift are caught:
+Three classes of drift are caught in ``README.md``, ``EXPERIMENTS.md``
+and ``docs/*.md``:
 
-* **Broken relative links** — every ``[text](target)`` in ``README.md``
-  and ``docs/*.md`` whose target is not an URL or a bare anchor must
-  resolve to a file or directory in the repository (anchors on existing
-  files are accepted; anchor contents are not verified).
+* **Broken relative links** — every ``[text](target)`` whose target is
+  not an URL or a bare anchor must resolve to a file or directory in
+  the repository (anchors on existing files are accepted; anchor
+  contents are not verified).
 * **Phantom CLI flags** — every ``--flag`` token on a documented
   command line that invokes ``repro.experiments.runner``,
   ``repro.obs.trace``, ``repro.invariants`` (the stress harness), or
-  one of the ``benchmarks/perf`` scripts must
-  appear in that tool's ``--help``, and every ``--preset NAME`` for the
-  runner must name a real preset.  Docs describing removed or renamed
-  flags fail CI instead of lying to the reader.
+  one of the ``benchmarks/perf`` scripts that exist must appear in that
+  tool's ``--help``, and every ``--preset NAME`` for the runner must
+  name a real preset.
+* **Phantom files** — every ``benchmarks/perf/X.py``, ``scripts/X.py``
+  or ``BENCH_X.json`` (a record at the repository root) the docs name
+  must exist.
+
+Docs describing removed scripts, records or flags fail CI instead of
+lying to the reader.
 
 Exit status 0 when clean; 1 with one problem per line on stderr.
 """
@@ -34,11 +40,13 @@ from typing import Dict, List, Set
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "perf"))
+PERF_DIR = REPO_ROOT / "benchmarks" / "perf"
+sys.path.insert(0, str(PERF_DIR))
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--[a-zA-Z][a-zA-Z0-9-]*")
 PRESET_RE = re.compile(r"--preset[= ]([A-Za-z0-9|]+)")
+PATH_RE = re.compile(r"(?:benchmarks/perf|scripts)/\w+\.py|BENCH_\w+\.json")
 
 
 def _rel(path: Path) -> str:
@@ -51,9 +59,20 @@ def _rel(path: Path) -> str:
 
 def doc_files() -> List[Path]:
     """The markdown set the checker covers."""
-    files = [REPO_ROOT / "README.md"]
+    files = [REPO_ROOT / "README.md", REPO_ROOT / "EXPERIMENTS.md"]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
     return [f for f in files if f.exists()]
+
+
+def check_files(path: Path) -> List[str]:
+    """Perf scripts, scripts and ``BENCH_*.json`` records named in
+    ``path`` that do not exist."""
+    problems = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for name in PATH_RE.findall(line):
+            if not (REPO_ROOT / name).exists():
+                problems.append(f"{_rel(path)}:{lineno}: no such file {name!r}")
+    return problems
 
 
 def check_links(path: Path) -> List[str]:
@@ -90,9 +109,8 @@ def _help_flags(main, prog: str) -> Set[str]:
     return flags
 
 
-def _load_bench(name: str):
-    path = REPO_ROOT / "benchmarks" / "perf" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+def _load_bench(path: Path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -109,11 +127,10 @@ def tool_vocabulary() -> Dict[str, Set[str]]:
         "repro.obs.trace": _help_flags(trace.main, "trace"),
         "repro.invariants": _help_flags(harness.main, "invariants"),
     }
-    for bench in ("fig5_lookup", "worm_propagation", "dht_ops",
-                  "kernel_throughput", "overload"):
-        vocab[f"benchmarks/perf/{bench}.py"] = _help_flags(
-            _load_bench(bench).main, bench
-        )
+    for path in sorted(PERF_DIR.glob("*.py")):
+        main = getattr(_load_bench(path), "main", None)
+        if main is not None:  # perf_common is a library, not a CLI
+            vocab[f"benchmarks/perf/{path.name}"] = _help_flags(main, path.stem)
     return vocab
 
 
@@ -159,6 +176,7 @@ def main() -> int:
     for path in doc_files():
         problems.extend(check_links(path))
         problems.extend(check_commands(path, vocab, presets))
+        problems.extend(check_files(path))
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:

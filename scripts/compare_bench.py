@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Diff two benchmark records and fail on regression.
+"""Validate benchmark records, or diff two and fail on regression.
 
 Modes::
 
+    # Schema check (CI): exit 2 on malformed or degenerate records
+    # (non-finite or bool metrics, no events, zero lookups).  A file
+    # holds one record or a list of them, one per ladder rung; every
+    # element is checked and an error names the failing rung.
+    python scripts/compare_bench.py --check BENCH_kernel.json BENCH_scaling.json
+
     # Gate: exit 1 if `current` regressed >15% vs `baseline`
     python scripts/compare_bench.py BENCH_kernel.baseline.json BENCH_kernel.json
-
-    # Schema check only (CI smoke): exit 2 on malformed or degenerate
-    # records (non-finite metrics, no events, zero lookups)
-    python scripts/compare_bench.py --check BENCH_kernel.json BENCH_fig5.json
-
-    # Engine-equivalence: exit 1 unless both records report identical
-    # simulation results (events + metrics; wall clock may differ)
-    python scripts/compare_bench.py --assert-equal \\
-        BENCH_fig5_1k.json BENCH_fig5_1k_columnar.json
 
 A regression is a drop in ``events_per_s`` or a rise in
 ``wall_clock_s`` beyond ``--threshold`` (default 0.15).  Records must
@@ -37,16 +34,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "per
 import perf_common  # noqa: E402
 
 
-def load_record(path: str) -> dict:
+def load_records(path: str) -> list[dict]:
+    """The records in ``path`` (one, or a ladder's list), each validated."""
     try:
-        record = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: cannot read record: {exc}") from exc
-    try:
-        perf_common.validate_record(record)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return record
+    records = data if isinstance(data, list) else [data]
+    if not records:
+        raise ValueError(f"{path}: holds no records")
+    for index, record in enumerate(records):
+        where = path
+        if isinstance(data, list):
+            name = record.get("name") if isinstance(record, dict) else None
+            where = f"{path}: rung {index} ({name})"
+        try:
+            perf_common.validate_record(record)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    return records
 
 
 def parameter_diff(baseline: dict, current: dict) -> str:
@@ -93,86 +99,47 @@ def compare(baseline: dict, current: dict, threshold: float) -> list[str]:
     return regressions
 
 
-def assert_equal(a: dict, b: dict) -> list[str]:
-    """Return mismatch messages unless the records carry identical
-    simulation outcomes (bit-identical metrics and event counts).
-
-    This is the engine-equivalence gate: the same workload run on two
-    engines (e.g. the object node graph and the columnar flat-array
-    engine) must agree on everything but wall clock."""
-    if a["name"] != b["name"]:
-        raise ValueError(
-            f"records are different benchmarks: {a['name']!r} vs {b['name']!r}"
-        )
-    mismatches = []
-    if a["events"] != b["events"]:
-        mismatches.append(f"events: {a['events']:,} vs {b['events']:,}")
-    if a["seed"] != b["seed"]:
-        mismatches.append(f"seed: {a['seed']} vs {b['seed']}")
-    for key in sorted(set(a["metrics"]) | set(b["metrics"])):
-        left, right = a["metrics"].get(key), b["metrics"].get(key)
-        if left != right:
-            mismatches.append(f"metrics[{key}]: {left!r} vs {right!r}")
-    return mismatches
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("records", nargs="+",
                         help="baseline.json current.json, or files for --check")
     parser.add_argument("--check", action="store_true",
                         help="only validate record schemas, no comparison")
-    parser.add_argument("--assert-equal", action="store_true",
-                        help="require the two records to report identical "
-                             "simulation results (events and metrics); "
-                             "wall clock and parameters may differ")
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="allowed relative regression (default 0.15)")
     args = parser.parse_args(argv)
 
     try:
-        records = [load_record(path) for path in args.records]
+        loaded = [load_records(path) for path in args.records]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.check:
-        for path, record in zip(args.records, records):
-            print(f"ok: {path} ({record['name']}, "
-                  f"{record['events_per_s']:,.0f} events/s)")
+        for path, records in zip(args.records, loaded):
+            for record in records:
+                print(f"ok: {path} ({record['name']}, "
+                      f"{record['events_per_s']:,.0f} events/s)")
         return 0
 
-    if len(records) != 2:
-        print("error: comparison mode needs exactly two records "
+    if len(loaded) != 2 or any(len(records) != 1 for records in loaded):
+        print("error: comparison mode needs exactly two single-record files "
               "(baseline, current)", file=sys.stderr)
         return 2
-    if args.assert_equal:
-        try:
-            mismatches = assert_equal(records[0], records[1])
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        name = records[0]["name"]
-        if mismatches:
-            for message in mismatches:
-                print(f"ENGINE MISMATCH [{name}] {message}")
-            return 1
-        print(f"ok: {name} records report identical simulation results "
-              f"({records[0]['events']:,} events)")
-        return 0
+    (baseline,), (current,) = loaded
     try:
-        regressions = compare(records[0], records[1], args.threshold)
+        regressions = compare(baseline, current, args.threshold)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    name = records[0]["name"]
+    name = baseline["name"]
     if regressions:
         for message in regressions:
             print(f"REGRESSION [{name}] {message}")
         return 1
     print(f"ok: {name} within {args.threshold:.0%} of baseline "
-          f"({records[1]['events_per_s']:,.0f} vs "
-          f"{records[0]['events_per_s']:,.0f} events/s)")
+          f"({current['events_per_s']:,.0f} vs "
+          f"{baseline['events_per_s']:,.0f} events/s)")
     return 0
 
 

@@ -12,6 +12,10 @@
    generalisation deferred to the thesis); the id layout supports any
    power-of-two type count, and this ablation measures containment as
    the number of types grows.
+
+The worm ablations (1, 4) build their worm through
+:data:`repro.worm.ENGINES`, the table :func:`~repro.worm.run_scenario`
+uses, so they run on the columnar engine.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ from ..overlay.snapshot import (
 from ..sim import Simulator
 from ..worm.knowledge import RoutingKnowledge
 from ..worm.model import WormParams
-from ..worm.scenarios import WormScenarioConfig, build_verme_population
-from ..worm.simulation import WormSimulation
+from ..worm.scenarios import ENGINES, WormScenarioConfig, build_verme_population
 
 
 # -- 1. naive fingers -----------------------------------------------------------------
@@ -68,7 +71,7 @@ def run_naive_finger_ablation(
             layout=overlay.layout,
         )
         sim = Simulator()
-        worm = WormSimulation(
+        worm = ENGINES[config.engine](
             sim, len(overlay), pop.vulnerable, knowledge, config.params
         )
         seed_rng = random.Random(config.seed + 1)
@@ -216,7 +219,7 @@ def run_multitype_containment(
         layout=layout,
     )
     sim = Simulator()
-    worm = WormSimulation(
+    worm = ENGINES["columnar"](
         sim, len(overlay), vulnerable, knowledge, params or WormParams()
     )
     worm.seed(rng.choice([i for i, v in enumerate(vulnerable) if v]))

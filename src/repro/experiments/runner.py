@@ -13,8 +13,7 @@ Regenerate any paper figure (or the ablations) from the shell::
 Scaled-down parameters by default (seconds to minutes); ``--paper-scale``
 switches to the paper's §7 configurations (minutes to an hour), and
 ``--preset`` picks a named population scale without changing anything
-else (fig5: ``120``/``1k``/``10k``; fig8: ``1k``/``100k``/``1m`` —
-the same scales the committed ``BENCH_*.json`` baselines use).
+else (fig5: ``120``/``1k``/``10k``; fig8: ``1k``/``100k``/``1m``).
 
 ``--engine NAME`` selects the simulation engine: for fig5/fig6/fig7/
 overload one of :data:`~repro.experiments.builders.ENGINES` (rows are
@@ -102,11 +101,8 @@ def _fig8_scaled(cfg: Fig8Config, num_nodes: int, num_sections: int) -> Fig8Conf
     )
 
 
-#: ``--preset`` tables: named population scales per figure, mirroring
-#: the perf-harness presets (``benchmarks/perf/fig5_lookup.py`` and
-#: ``benchmarks/perf/worm_propagation.py``) so runner output lines up
-#: with the committed ``BENCH_*.json`` baselines.  The dense King
-#: matrix is O(n^2) memory, hence king-coords at 1k nodes and up.
+#: ``--preset`` tables: named population scales per figure.  The dense
+#: King matrix is O(n^2) memory, hence king-coords at 1k nodes and up.
 PRESETS = {
     "fig5": {
         "120": lambda cfg: cfg,
@@ -342,7 +338,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--preset", metavar="NAME", default=None,
         help="named population scale (fig5: 120, 1k, 10k; fig8: 1k, "
-             "100k, 1m) matching the perf-harness presets")
+             "100k, 1m)")
     parser.add_argument("--csv", metavar="DIR", default=None,
                         help="also export the figure's data as CSV into DIR")
     parser.add_argument("--runs", type=int, default=2, help="fig8 repetitions")

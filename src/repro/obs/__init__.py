@@ -35,8 +35,9 @@ guarded by one attribute load and an ``is not None`` test::
 No observability object is ever constructed, and no per-event
 allocation happens, on the disabled path —
 ``tests/test_obs.py::test_disabled_mode_allocates_nothing`` pins that
-with a tracemalloc audit.  ``scripts/compare_bench.py`` holds the
-perf-gated benchmarks to the same story end to end.
+with a tracemalloc audit, and the benchmark suite
+(``benchmarks/suite``) measures with observability off, so
+instrumentation creep shows as a run-time regression.
 
 See ``docs/observability.md`` for the user guide and worked examples.
 """

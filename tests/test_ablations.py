@@ -21,7 +21,7 @@ from repro.verme import (
     max_safe_neighbor_list,
     min_safe_sections,
 )
-from repro.worm import WormScenarioConfig
+from repro.worm import ENGINES, WormScenarioConfig
 
 from conftest import build_verme_ring
 
@@ -91,6 +91,34 @@ def test_multitype_vulnerable_population_shrinks():
     r2 = run_multitype_containment(num_nodes=1024, num_sections=128, type_bits=1, until=10.0)
     r4 = run_multitype_containment(num_nodes=1024, num_sections=128, type_bits=2, until=10.0)
     assert r4.vulnerable < r2.vulnerable
+
+
+def test_worm_ablations_match_the_legacy_reference_engine(monkeypatch):
+    """Both worm ablations build their worm through ``worm.ENGINES``
+    (columnar by default) and report what the legacy engine reports."""
+
+    def run_all():
+        return (
+            run_naive_finger_ablation(CFG, until=150.0),
+            [
+                run_multitype_containment(
+                    num_nodes=1024, num_sections=128, type_bits=bits, until=150.0
+                )
+                for bits in (1, 2, 3)
+            ],
+        )
+
+    columnar = run_all()
+    built = []
+
+    class Legacy(ENGINES["legacy"]):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setitem(ENGINES, "columnar", Legacy)
+    assert run_all() == columnar
+    assert len(built) == 5  # two naive-finger overlays, three type counts
 
 
 # -- audit helpers ----------------------------------------------------------------------

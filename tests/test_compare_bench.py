@@ -1,8 +1,9 @@
 """``scripts/compare_bench.py`` refuses degenerate and mismatched records.
 
 A record that measured nothing (no events, zero lookups) or carries a
-non-finite number must fail ``--check`` with exit 2, so it can never be
-committed as a baseline; a parameter mismatch must say which keys
+non-finite or bool number must fail ``--check`` with exit 2 — alone, or
+as one rung of a ladder's list, which the error names — so it can never
+be committed as a baseline; a parameter mismatch must say which keys
 differ.
 """
 
@@ -61,12 +62,25 @@ def test_well_formed_record_passes(tmp_path, capsys):
         ({"metrics": {"lookups": 5.0, "failure_rate": math.inf}}, "not finite"),
         ({"events_per_s": math.nan}, "not finite"),
         ({"events": 0, "events_per_s": 0.0}, "events must be positive"),
+        ({"metrics": {"lookups": True}}, "lookups is a bool"),
     ],
 )
 def test_degenerate_records_are_rejected(tmp_path, capsys, overrides, message):
     code, err = _check(tmp_path, _record(**overrides), capsys)
     assert code == 2
     assert message in err
+
+
+def test_list_of_rungs_passes(tmp_path, capsys):
+    rungs = [_record(name="live-1k"), _record(name="worm-1m")]
+    assert _check(tmp_path, rungs, capsys)[0] == 0
+
+
+def test_one_degenerate_rung_fails_the_list_and_is_named(tmp_path, capsys):
+    rungs = [_record(name="live-1k"), _record(name="live-100k", events=0)]
+    code, err = _check(tmp_path, rungs, capsys)
+    assert code == 2
+    assert "rung 1 (live-100k): events must be positive" in err
 
 
 def test_parameter_mismatch_prints_a_key_by_key_diff():

@@ -27,6 +27,7 @@ def test_repo_docs_are_clean(capsys):
 def test_docs_cover_readme_and_docs_dir():
     names = {p.name for p in check_docs.doc_files()}
     assert "README.md" in names
+    assert "EXPERIMENTS.md" in names
     assert "observability.md" in names
     assert "architecture.md" in names
 
@@ -78,7 +79,23 @@ def test_real_flags_accepted(tmp_path):
     doc.write_text(
         "`python -m repro.experiments.runner fig8 --preset 100k "
         "--metrics out.json --trace t.json --workers 4`\n"
-        "`python benchmarks/perf/worm_propagation.py --preset 1m --obs`\n"
+        "`python benchmarks/perf/ladder.py --rung worm-1m --smoke --out s.json`\n"
         "`python -m repro.obs.trace --validate t.json`\n"
     )
     assert check_docs.check_commands(doc, vocab, presets) == []
+    # The perf vocabulary is read off the scripts that exist.
+    assert "benchmarks/perf/ladder.py" in vocab
+    assert "benchmarks/perf/perf_common.py" not in vocab
+
+
+def test_checker_flags_missing_files(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`python benchmarks/perf/fig5_lookup.py` wrote `BENCH_fig5.json`; see"
+        " `scripts/no_such.py`.  `benchmarks/perf/ladder.py` writes"
+        " `bench-out/BENCH_scaling.json` for `scripts/compare_bench.py`.\n"
+    )
+    problems = check_docs.check_files(doc)
+    assert [p.split("no such file ")[1] for p in problems] == [
+        "'benchmarks/perf/fig5_lookup.py'", "'BENCH_fig5.json'", "'scripts/no_such.py'"
+    ]
