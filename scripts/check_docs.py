@@ -5,8 +5,8 @@ Run from the repository root (CI's ``docs-check`` step does)::
 
     python scripts/check_docs.py
 
-Three classes of drift are caught in ``README.md``, ``EXPERIMENTS.md``
-and ``docs/*.md``:
+Four classes of drift are caught in ``README.md``, ``EXPERIMENTS.md``,
+``DESIGN.md`` and ``docs/*.md``:
 
 * **Broken relative links** — every ``[text](target)`` whose target is
   not an URL or a bare anchor must resolve to a file or directory in
@@ -18,9 +18,14 @@ and ``docs/*.md``:
   one of the ``benchmarks/perf`` scripts that exist must appear in that
   tool's ``--help``, and every ``--preset NAME`` for the runner must
   name a real preset.
-* **Phantom files** — every ``benchmarks/perf/X.py``, ``scripts/X.py``
-  or ``BENCH_X.json`` (a record at the repository root) the docs name
-  must exist.
+* **Phantom files** — every ``benchmarks/.../X.py``, ``scripts/X.py``,
+  ``examples/X.py`` or ``BENCH_X.json`` (a record at the repository
+  root) the docs name must exist.
+* **Stale paper-vs-measured numbers** — every ``<!-- ledger:NAME -->``
+  block of ``EXPERIMENTS.md`` must equal
+  :func:`repro.experiments.fidelity.render` of the committed
+  ``FIDELITY.json``, and no table outside those blocks may carry a
+  number.
 
 Docs describing removed scripts, records or flags fail CI instead of
 lying to the reader.
@@ -33,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -46,7 +52,7 @@ sys.path.insert(0, str(PERF_DIR))
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--[a-zA-Z][a-zA-Z0-9-]*")
 PRESET_RE = re.compile(r"--preset[= ]([A-Za-z0-9|]+)")
-PATH_RE = re.compile(r"(?:benchmarks/perf|scripts)/\w+\.py|BENCH_\w+\.json")
+PATH_RE = re.compile(r"(?:benchmarks(?:/\w+)*|scripts|examples)/\w+\.py|BENCH_\w+\.json")
 
 
 def _rel(path: Path) -> str:
@@ -59,14 +65,14 @@ def _rel(path: Path) -> str:
 
 def doc_files() -> List[Path]:
     """The markdown set the checker covers."""
-    files = [REPO_ROOT / "README.md", REPO_ROOT / "EXPERIMENTS.md"]
+    files = [REPO_ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
     return [f for f in files if f.exists()]
 
 
 def check_files(path: Path) -> List[str]:
-    """Perf scripts, scripts and ``BENCH_*.json`` records named in
-    ``path`` that do not exist."""
+    """Benchmark files, scripts, examples and ``BENCH_*.json`` records
+    named in ``path`` that do not exist."""
     problems = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         for name in PATH_RE.findall(line):
@@ -168,6 +174,43 @@ def check_commands(path: Path, vocab: Dict[str, Set[str]],
     return problems
 
 
+def ledger_blocks() -> Dict[str, str]:
+    """The ledger blocks as rendered from the committed FIDELITY.json."""
+    from repro.experiments import fidelity
+
+    return fidelity.render(json.loads((REPO_ROOT / "FIDELITY.json").read_text()))
+
+
+def check_ledger(path: Path, blocks: Dict[str, str]) -> List[str]:
+    """Ledger blocks of ``path`` that are missing or differ from
+    ``blocks``, and numbers in tables outside the blocks."""
+    from repro.experiments.fidelity import BLOCK_RE
+
+    text = path.read_text()
+    problems = []
+    seen = set()
+    for match in BLOCK_RE.finditer(text):
+        name = match.group(2)
+        seen.add(name)
+        if match.group(3) != blocks.get(name):
+            lineno = text.count("\n", 0, match.start()) + 1
+            problems.append(
+                f"{_rel(path)}:{lineno}: ledger block {name!r} differs from "
+                "render(FIDELITY.json); regenerate with "
+                "`python -m repro.experiments.runner paper`"
+            )
+    problems.extend(
+        f"{_rel(path)}: no ledger block {name!r}" for name in blocks if name not in seen
+    )
+    outside = BLOCK_RE.sub("", text)
+    problems.extend(
+        f"{_rel(path)}: table row outside the ledger blocks carries a number: {line!r}"
+        for line in outside.splitlines()
+        if line.startswith("|") and re.search(r"\d", line)
+    )
+    return problems
+
+
 def main() -> int:
     """Check every covered doc; print problems; 0 = clean."""
     vocab = tool_vocabulary()
@@ -177,6 +220,7 @@ def main() -> int:
         problems.extend(check_links(path))
         problems.extend(check_commands(path, vocab, presets))
         problems.extend(check_files(path))
+    problems.extend(check_ledger(REPO_ROOT / "EXPERIMENTS.md", ledger_blocks()))
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:

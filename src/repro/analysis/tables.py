@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment reports.
 
-The benchmark harnesses print the same rows the paper's figures plot;
+The experiment runner prints the same rows the paper's figures plot;
 this keeps the formatting in one place.
 """
 

@@ -1,10 +1,12 @@
 """Experiment drivers, one per paper figure (see DESIGN.md §3)."""
 
 from .ablations import (
+    run_fragment_placement,
     run_load_comparison,
     run_multitype_containment,
     run_naive_finger_ablation,
     run_replication_availability,
+    run_tracker_ablation,
 )
 from .builders import BuiltRing, ChordNodeFactory, VermeNodeFactory, build_ring
 from .dht_ops import (
@@ -21,8 +23,6 @@ from .fig5_lookup_latency import (
     run_cell,
     run_fig5,
 )
-from .fig6_dht_latency import latency_by_system, run_fig6
-from .fig7_dht_bandwidth import bytes_by_system, run_fig7
 from .fig8_worm_propagation import (
     DEFAULT_HORIZONS,
     Fig8Config,
@@ -38,7 +38,6 @@ from .parallel import (
     run_ablations_parallel,
     run_fig5_parallel,
     run_fig8_cells,
-    run_fig8_parallel,
 )
 from .records import DhtOpRow, Fig5Row, Fig8Row, ResilienceRow
 from .resilience import SYSTEMS as RESILIENCE_SYSTEMS
@@ -68,9 +67,7 @@ __all__ = [
     "average_fig5_rows",
     "averaged_curve_series",
     "build_ring",
-    "bytes_by_system",
     "curve_series",
-    "latency_by_system",
     "map_cells",
     "run_ablations_parallel",
     "run_cell",
@@ -78,18 +75,17 @@ __all__ = [
     "run_dht_experiment",
     "run_fig5",
     "run_fig5_parallel",
-    "run_fig6",
-    "run_fig7",
     "run_fig8",
     "run_fig8_cell",
     "run_fig8_cells",
-    "run_fig8_parallel",
     "run_fig8_scenario",
+    "run_fragment_placement",
     "run_load_comparison",
     "run_multitype_containment",
     "run_naive_finger_ablation",
     "run_replication_availability",
     "run_resilience",
     "run_resilience_cell",
+    "run_tracker_ablation",
     "summarise_fig8_runs",
 ]

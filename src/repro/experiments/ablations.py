@@ -12,6 +12,11 @@
    generalisation deferred to the thesis); the id layout supports any
    power-of-two type count, and this ablation measures containment as
    the number of types grows.
+5. **Tracker-assigned unstructured overlay** — §6.2: the same worm on a
+   swarm whose tracker builds type islands vs. a conventional tracker.
+6. **Fragments vs. replicas** — §5.1's skipped optimization: network
+   bytes to durably place one block as (3, 6) erasure-coded fragments
+   vs. six full replicas.
 
 The worm ablations (1, 4) build their worm through
 :data:`repro.worm.ENGINES`, the table :func:`~repro.worm.run_scenario`
@@ -25,19 +30,25 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.load import LoadReport, sample_ownership
+from ..chord.config import OverlayConfig
 from ..chord.state import NodeInfo
+from ..dht import DHashNode, DhtConfig
+from ..dht.fragments import FragmentConfig, FragmentedDHashNode
 from ..ids.idspace import IdSpace
 from ..ids.sections import VermeIdLayout
+from ..net import ConstantLatency, Network
 from ..net.addressing import NodeAddress
 from ..overlay.snapshot import (
     NaiveFingerVermeOverlay,
     StaticOverlay,
     VermeStaticOverlay,
 )
-from ..sim import Simulator
+from ..sim import RngRegistry, Simulator
+from ..unstructured import TrackerConfig, build_swarm, run_swarm_worm
 from ..worm.knowledge import RoutingKnowledge
 from ..worm.model import WormParams
 from ..worm.scenarios import ENGINES, WormScenarioConfig, build_verme_population
+from .builders import build_ring
 
 
 # -- 1. naive fingers -----------------------------------------------------------------
@@ -230,3 +241,67 @@ def run_multitype_containment(
         infected=worm.infected_count,
         vulnerable=sum(vulnerable),
     )
+
+
+# -- 5. tracker-assigned unstructured overlay --------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrackerResult:
+    infected_containment: int
+    infected_conventional: int
+    vulnerable: int
+
+
+def run_tracker_ablation() -> TrackerResult:
+    """The same worm on two swarms of the same 2000 peers: one whose
+    tracker assigns neighbours into type islands, one conventional."""
+    config = TrackerConfig(island_size=24, same_island_neighbors=6, cross_type_neighbors=6)
+    runs = [
+        run_swarm_worm(build_swarm(2000, config, seed=11, containment=containment),
+                       until=300.0, seed=11)
+        for containment in (True, False)
+    ]
+    return TrackerResult(
+        infected_containment=runs[0].infected,
+        infected_conventional=runs[1].infected,
+        vulnerable=runs[0].vulnerable_count,
+    )
+
+
+# -- 6. fragments vs. replicas -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlacementResult:
+    """Network bytes (client stores plus replica pushes) to place one block."""
+
+    replicated_bytes: int
+    fragmented_bytes: int
+
+
+def run_fragment_placement() -> PlacementResult:
+    """Place one 8 KiB block at durability 6 on a 64-node ring as six
+    full replicas and as six (3, 6) erasure-coded fragments; overlay
+    maintenance, identical in both, is excluded."""
+    placed = []
+    for cls, kwargs in (
+        (DHashNode, {}),
+        (FragmentedDHashNode, {"fragment_config": FragmentConfig(total=6, required=3)}),
+    ):
+        sim = Simulator()
+        net = Network(sim, ConstantLatency(num_hosts=64, one_way=0.02))
+        ring = build_ring(
+            sim, net, OverlayConfig(space=IdSpace(64), num_successors=8), 64, RngRegistry(3)
+        )
+        layers = [cls(n, DhtConfig(num_replicas=6), **kwargs) for n in ring.nodes]
+        done = []
+        layers[0].put(random.Random(5).randbytes(8192), done.append)
+        sim.run(until=sim.now + 120)  # include background replication
+        if not (done and done[0].ok):
+            raise RuntimeError(f"{cls.__name__}: the put did not complete")
+        placed.append(
+            net.accounting.category_bytes("data")
+            + net.accounting.category_bytes("replication")
+        )
+    return PlacementResult(replicated_bytes=placed[0], fragmented_bytes=placed[1])

@@ -40,10 +40,12 @@ from ..obs import OBS, peak_rss_kib, run_cell_collected
 from ..worm.model import InfectionCurve
 from ..worm.scenarios import SCENARIOS, WormRunResult, WormScenarioConfig
 from .ablations import (
+    run_fragment_placement,
     run_load_comparison,
     run_multitype_containment,
     run_naive_finger_ablation,
     run_replication_availability,
+    run_tracker_ablation,
 )
 from .dht_ops import (
     DHT_SYSTEMS,
@@ -53,12 +55,8 @@ from .dht_ops import (
 )
 from .fig5_lookup_latency import SYSTEMS as FIG5_SYSTEMS
 from .fig5_lookup_latency import Fig5Config, average_fig5_rows, run_cell
-from .fig8_worm_propagation import (
-    Fig8Config,
-    run_fig8_cell,
-    summarise_fig8_runs,
-)
-from .records import Fig5Row, Fig8Row
+from .fig8_worm_propagation import Fig8Config, run_fig8_cell
+from .records import Fig5Row
 
 #: A cell: (module-level function, argument tuple).
 Cell = Tuple[Callable[..., Any], Tuple[Any, ...]]
@@ -158,18 +156,6 @@ def run_fig8_cells(
     return grouped
 
 
-def run_fig8_parallel(
-    config: Fig8Config,
-    scenarios: Sequence[str] = SCENARIOS,
-    workers: Optional[int] = None,
-) -> List[Fig8Row]:
-    """Drop-in parallel ``run_fig8``: same rows, same order."""
-    grouped = run_fig8_cells(config, scenarios, workers)
-    return [
-        summarise_fig8_runs(scenario, grouped[scenario]) for scenario in scenarios
-    ]
-
-
 def fig8_curves(
     results_by_scenario: Dict[str, List[WormRunResult]],
 ) -> Dict[str, List[InfectionCurve]]:
@@ -229,27 +215,24 @@ def run_dht_parallel(
 
 
 def run_ablations_parallel(
-    config: Optional[WormScenarioConfig] = None,
-    until: float = 200.0,
+    config: WormScenarioConfig,
+    until: float,
     type_bits: Sequence[int] = (1, 2, 3),
     workers: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """The four ablation studies as independent cells.
+    """The six ablation studies as independent cells.
 
-    Returns ``{"naive_finger", "availability", "load", "multitype"}``
-    with the same objects the serial :mod:`repro.experiments.ablations`
-    functions produce (``multitype`` is one result per entry of
-    ``type_bits``).
+    Returns ``{"naive_finger", "availability", "load", "multitype",
+    "tracker", "fragments"}`` with the same objects the serial
+    :mod:`repro.experiments.ablations` functions produce (``multitype``
+    is one result per entry of ``type_bits``).
     """
-    cfg = (
-        config
-        if config is not None
-        else WormScenarioConfig(num_nodes=3000, num_sections=128, seed=9)
-    )
     cells: List[Cell] = [
-        (run_naive_finger_ablation, (cfg, until)),
-        (run_replication_availability, (cfg,)),
+        (run_naive_finger_ablation, (config, until)),
+        (run_replication_availability, (config,)),
         (run_load_comparison, ()),
+        (run_tracker_ablation, ()),
+        (run_fragment_placement, ()),
     ]
     cells.extend(
         (run_multitype_containment, (4000, 256, tb)) for tb in type_bits
@@ -259,5 +242,7 @@ def run_ablations_parallel(
         "naive_finger": results[0],
         "availability": results[1],
         "load": results[2],
-        "multitype": results[3:],
+        "tracker": results[3],
+        "fragments": results[4],
+        "multitype": results[5:],
     }

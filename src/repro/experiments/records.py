@@ -1,8 +1,7 @@
 """Typed result rows for the reproduced figures.
 
-Each experiment driver returns a list of these; the benchmark harnesses
-print them as tables and EXPERIMENTS.md records them next to the
-paper's values.
+Each experiment driver returns a list of these; the runner prints them
+as tables and the fidelity ledger judges the paper's claims on them.
 """
 
 from __future__ import annotations

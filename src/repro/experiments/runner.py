@@ -9,6 +9,13 @@ Regenerate any paper figure (or the ablations) from the shell::
     python -m repro.experiments.runner resilience
     python -m repro.experiments.runner ablations [--workers N]
     python -m repro.experiments.runner overload [--smoke]
+    python -m repro.experiments.runner paper [--workers N]
+
+``paper`` is the fidelity ledger (:mod:`repro.experiments.fidelity`):
+every section of the paper at its scale of record, each of the paper's
+claims judged by name; it writes ``FIDELITY.json``, regenerates the
+ledger blocks of ``EXPERIMENTS.md`` (when run where that file is), and
+exits 1 unless the failing claims are exactly the known deviations.
 
 Scaled-down parameters by default (seconds to minutes); ``--paper-scale``
 switches to the paper's §7 configurations (minutes to an hour), and
@@ -73,7 +80,8 @@ from pathlib import Path
 from ..analysis.export import write_rows_csv, write_series_csv
 from ..analysis.tables import format_table
 from ..obs import OBS, disable as obs_disable, enable as obs_enable
-from ..worm import ENGINES as WORM_ENGINES, WormScenarioConfig
+from ..worm import ENGINES as WORM_ENGINES
+from . import fidelity
 from .builders import ENGINES as LIVE_ENGINES
 from .dht_ops import DhtExperimentConfig
 from .fig5_lookup_latency import Fig5Config
@@ -263,23 +271,28 @@ def _resilience(args) -> None:
 
 
 def _ablations(args) -> None:
-    cfg = _overrides(args, WormScenarioConfig(num_nodes=3000, num_sections=128, seed=9))
-    out = run_ablations_parallel(cfg, until=200.0, workers=args.workers)
-    nf = out["naive_finger"]
-    print("finger displacement:")
-    print(f"  displaced fingers : {nf.infected_with_displacement}/{nf.vulnerable} infected")
-    print(f"  naive fingers     : {nf.infected_naive_fingers}/{nf.vulnerable} infected")
-    av = out["availability"]
-    print("replication vs type-wide outbreak:")
-    print(f"  two sections   : {av.survivors_two_sections:.1%} keys readable")
-    print(f"  single section : {av.survivors_single_section:.1%} keys readable")
-    load = out["load"]
-    print("ownership load (gini):"
-          f" chord={load.chord.gini:.3f} verme={load.verme.gini:.3f}"
-          f" (corner rule on {load.verme.predecessor_rule_fraction:.1%} of keys)")
-    for mt in out["multitype"]:
-        print(f"{mt.num_types} types: worm confined to "
-              f"{mt.infected}/{mt.vulnerable} vulnerable nodes")
+    cfg = _overrides(args, fidelity.SCALE["ablations"])
+    out = run_ablations_parallel(cfg, fidelity.ABLATION_UNTIL_S, workers=args.workers)
+    for name, result in out.items():
+        for row in result if isinstance(result, list) else [result]:
+            print(f"{name}: {row}")
+
+
+def _paper(args) -> int:
+    record = fidelity.run_ledger(workers=args.workers)
+    Path("FIDELITY.json").write_text(fidelity.dumps(record))
+    print("wrote FIDELITY.json")
+    docs = Path("EXPERIMENTS.md")
+    if docs.exists():
+        docs.write_text(fidelity.splice(docs.read_text(), fidelity.render(record)))
+        print(f"regenerated the ledger blocks of {docs}")
+    for v in record["claims"]:
+        verdict = "holds" if v["holds"] else ("deviates" if v["deviation"] else "FAILS")
+        print(f"{verdict:9s} {v['name']:40s} {v['measured']:10.4g}  {v['bound']}")
+    wrong = fidelity.unexpected(record)
+    if wrong:
+        print(f"unexpected verdicts (not the declared deviations): {', '.join(wrong)}")
+    return 1 if wrong else 0
 
 
 def _overload(args) -> None:
@@ -332,7 +345,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "figure",
         choices=["fig5", "fig6", "fig7", "fig8", "resilience", "ablations",
-                 "overload"],
+                 "overload", "paper"],
     )
     parser.add_argument("--paper-scale", action="store_true")
     parser.add_argument(
@@ -423,6 +436,13 @@ def main(argv=None) -> int:
                          f"(choices: {', '.join(OVERLOADS)})")
     if args.smoke and args.figure != "overload":
         parser.error("--smoke is only supported for overload")
+    if args.figure == "paper":
+        given = [flag for flag, on in (("--paper-scale", args.paper_scale),
+                                       ("--seed", args.seed is not None),
+                                       ("--csv", args.csv is not None)) if on]
+        if given:
+            parser.error(f"{given[0]} does not apply to paper: every section "
+                         "runs at its scale of record")
     if args.figure in LIVE_FIGURES:
         args.engine = _live_engine(parser, args)
     if args.trace is not None and args.workers != 1:
@@ -447,6 +467,7 @@ def main(argv=None) -> int:
         "resilience": lambda: _resilience(args),
         "ablations": lambda: _ablations(args),
         "overload": lambda: _overload(args),
+        "paper": lambda: _paper(args),
     }[args.figure]
     obs_on = (
         args.metrics is not None or args.trace is not None or args.profile
@@ -470,7 +491,7 @@ def main(argv=None) -> int:
             profiler = cProfile.Profile()
             profiler.enable()
             try:
-                dispatch()
+                outcome = dispatch()
             finally:
                 profiler.disable()
                 pstats_path = f"profile_{args.figure}.pstats"
@@ -478,7 +499,7 @@ def main(argv=None) -> int:
                 print(f"\nprofile written to {pstats_path} "
                       f"(inspect: python -m pstats {pstats_path})")
         else:
-            dispatch()
+            outcome = dispatch()
         if args.metrics is not None:
             path = Path(args.metrics)
             text = (
@@ -499,7 +520,7 @@ def main(argv=None) -> int:
         if obs_on:
             obs_disable()
         OBS.invariants = None
-    exit_code = 0
+    exit_code = outcome or 0
     if checker is not None:
         exit_code = _report_invariants(args, checker)
     summary = f"\n[{args.figure} done in {time.time() - started:.1f}s"

@@ -539,7 +539,7 @@ class NaiveFingerVermeOverlay(VermeStaticOverlay):
     This isolates the contribution of §4.4's finger displacement: with
     naive fingers a node's table contains same-type nodes from distant
     sections, handing a worm exactly the cross-island links Verme
-    exists to remove.  Used by the ablation benchmarks.
+    exists to remove.  Used by ablation A1.
     """
 
     finger_target = StaticOverlay.finger_target

@@ -11,7 +11,7 @@
 
 The paper's configuration: 100,000 nodes, 50% vulnerable (one whole
 type), 4096 sections (~24 nodes each).  Defaults here are scaled down
-so tests run quickly; the benchmark drivers pass the full values.
+so tests run quickly; the fidelity ledger passes the full values.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ SCENARIOS = (
     "verme-fast",
     "verme-compromise",
 )
+
+#: The scenarios whose infection seed is the impersonator: the
+#: attacker's own machine, on the infection curve but not vulnerable.
+IMPERSONATED = ("verme-secure", "verme-fast", "verme-compromise")
 
 
 @dataclass(frozen=True)
@@ -127,12 +131,20 @@ class WormRunResult:
     # drained inside batch ticks — comparable across engines.
     events: int = 0
 
+    @property
+    def _attackers(self) -> int:
+        """Curve entries that are no victim (the impersonator seed)."""
+        return 1 if self.scenario in IMPERSONATED else 0
+
     def time_to_fraction(self, fraction: float) -> Optional[float]:
-        return self.curve.time_to_fraction(self.vulnerable_count, fraction)
+        """When ``fraction`` of the vulnerable nodes were infected."""
+        target = max(1, int(self.vulnerable_count * fraction))
+        return self.curve.time_to_count(target + self._attackers)
 
     @property
     def final_infected(self) -> int:
-        return self.curve.final_count
+        """Vulnerable nodes infected by the end of the run."""
+        return self.curve.final_count - self._attackers
 
 
 def _unique_ids(count: int, gen, used: set) -> List[int]:
@@ -235,7 +247,7 @@ def run_scenario(
             worm.run(until=until)
         return _result(scenario, worm, pop, config)
 
-    with_imp = scenario != "verme"
+    with_imp = scenario in IMPERSONATED
     pop = build_verme_population(config, rng, with_impersonator=with_imp)
     assert isinstance(pop.overlay, VermeStaticOverlay)
     base_knowledge = verme_knowledge(

@@ -194,3 +194,47 @@ def test_columnar_with_an_object_only_flag_is_a_usage_error(flag, row, tmp_path,
     assert UNSUPPORTED[row] in err
     assert "--engine object" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [
+    ["--preset", "1k"], ["--engine", "columnar"], ["--paper-scale"], ["--seed", "3"],
+    ["--csv", "out"],
+])
+def test_paper_rejects_scale_and_seed_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paper", *flag])
+    assert exc.value.code == 2
+    assert "paper" in capsys.readouterr().err
+
+
+def test_paper_writes_the_record_and_regenerates_the_ledger_blocks(
+    monkeypatch, tmp_path, capsys
+):
+    """The ``paper`` plumbing on the committed record: FIDELITY.json and
+    EXPERIMENTS.md come out as committed; a claim that stops holding
+    makes the exit code 1."""
+    import copy
+    import json
+    from pathlib import Path
+
+    from repro.experiments import fidelity
+
+    root = Path(__file__).resolve().parents[1]
+    committed = (root / "FIDELITY.json").read_text()
+    docs = (root / "EXPERIMENTS.md").read_text()
+    record = json.loads(committed)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "EXPERIMENTS.md").write_text(
+        fidelity.splice(docs, {name: "" for name in fidelity.render(record)})
+    )
+    monkeypatch.setattr(runner_mod.fidelity, "run_ledger", lambda workers: record)
+    assert main(["paper"]) == 0
+    assert (tmp_path / "FIDELITY.json").read_text() == committed
+    assert (tmp_path / "EXPERIMENTS.md").read_text() == docs
+    assert "deviates  fig8.chord_sweep_time" in capsys.readouterr().out
+
+    broken = copy.deepcopy(record)
+    broken["claims"][0]["holds"] = False
+    monkeypatch.setattr(runner_mod.fidelity, "run_ledger", lambda workers: broken)
+    assert main(["paper"]) == 1
+    assert "unexpected verdicts" in capsys.readouterr().out

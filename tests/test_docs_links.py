@@ -28,6 +28,7 @@ def test_docs_cover_readme_and_docs_dir():
     names = {p.name for p in check_docs.doc_files()}
     assert "README.md" in names
     assert "EXPERIMENTS.md" in names
+    assert "DESIGN.md" in names
     assert "observability.md" in names
     assert "architecture.md" in names
 
@@ -99,3 +100,42 @@ def test_checker_flags_missing_files(tmp_path):
     assert [p.split("no such file ")[1] for p in problems] == [
         "'benchmarks/perf/fig5_lookup.py'", "'BENCH_fig5.json'", "'scripts/no_such.py'"
     ]
+
+
+def test_checker_flags_deleted_bench_files_and_examples(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "| Fig. 5 | `benchmarks/bench_fig5_lookup_latency.py`, `examples/lookup_latency.py`"
+        " | `examples/no_such.py`, `benchmarks/suite/run.py` |\n"
+    )
+    problems = check_docs.check_files(doc)
+    assert [p.split("no such file ")[1] for p in problems] == [
+        "'benchmarks/bench_fig5_lookup_latency.py'", "'examples/no_such.py'"
+    ]
+
+
+def test_checker_flags_an_edited_ledger_number(tmp_path):
+    blocks = check_docs.ledger_blocks()
+    text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+    doc = tmp_path / "EXPERIMENTS.md"
+    doc.write_text(text)
+    assert check_docs.check_ledger(doc, blocks) == []
+    row = text.index("| chord |", text.index("<!-- ledger:fig8 -->"))
+    last = max(i for i in range(row, text.index("\n", row)) if text[i].isdigit())
+    edited = text[:last] + str((int(text[last]) + 1) % 10) + text[last + 1:]
+    doc.write_text(edited)
+    problems = check_docs.check_ledger(doc, blocks)
+    assert len(problems) == 1 and "ledger block 'fig8' differs" in problems[0]
+
+
+def test_checker_flags_missing_block_and_numbers_outside_blocks(tmp_path):
+    blocks = {"fig5": "| a | 1 |\n", "fig8": "x\n"}
+    doc = tmp_path / "EXPERIMENTS.md"
+    doc.write_text(
+        "<!-- ledger:fig5 -->\n| a | 1 |\n<!-- /ledger:fig5 -->\n"
+        "| system | latency |\n|---|---|\n| chord | 0.56 s |\n"
+    )
+    problems = check_docs.check_ledger(doc, blocks)
+    assert len(problems) == 2
+    assert "no ledger block 'fig8'" in problems[0]
+    assert "| chord | 0.56 s |" in problems[1]

@@ -8,14 +8,16 @@ from repro.experiments import (
     DhtExperimentConfig,
     Fig5Config,
     Fig8Config,
-    bytes_by_system,
-    latency_by_system,
     run_cell,
     run_dht_cell,
     run_fig8_scenario,
 )
 from repro.experiments.fig8_worm_propagation import DEFAULT_HORIZONS
 from repro.worm import WormScenarioConfig
+
+
+def _by_system(rows, field, operation):
+    return {r.system: getattr(r, field) for r in rows if r.operation == operation}
 
 FIG5_CFG = Fig5Config(num_nodes=60, duration_s=420.0, warmup_s=60.0)
 
@@ -82,7 +84,7 @@ def test_fig7_get_bandwidth_shape(dht_results):
     rows = []
     for res in dht_results.values():
         rows.extend(res.rows())
-    by_system = bytes_by_system(rows, "get")
+    by_system = _by_system(rows, "mean_bytes", "get")
     # DHash ~ Fast; Compromise roughly doubles; Secure pays per hop.
     assert by_system["fast-verdi"] < 1.4 * by_system["dhash"]
     assert by_system["compromise-verdi"] > 1.4 * by_system["dhash"]
@@ -93,7 +95,7 @@ def test_fig7_put_bandwidth_shape(dht_results):
     rows = []
     for res in dht_results.values():
         rows.extend(res.rows())
-    by_system = bytes_by_system(rows, "put")
+    by_system = _by_system(rows, "mean_bytes", "put")
     # The VerDi puts all pay an extra cross-type copy over DHash.
     assert by_system["fast-verdi"] > 1.5 * by_system["dhash"]
     assert by_system["compromise-verdi"] > by_system["fast-verdi"]
@@ -103,7 +105,7 @@ def test_fig6_get_latency_shape(dht_results):
     rows = []
     for res in dht_results.values():
         rows.extend(res.rows())
-    by_system = latency_by_system(rows, "get")
+    by_system = _by_system(rows, "mean_latency_s", "get")
     # Fast ~ DHash (within 25% at this scale).
     assert abs(by_system["fast-verdi"] - by_system["dhash"]) / by_system["dhash"] < 0.4
     # Everything beats nothing: VerDi variants are not faster than Fast
@@ -116,7 +118,7 @@ def test_fig6_put_latency_shape(dht_results):
     rows = []
     for res in dht_results.values():
         rows.extend(res.rows())
-    by_system = latency_by_system(rows, "put")
+    by_system = _by_system(rows, "mean_latency_s", "put")
     assert by_system["dhash"] == min(by_system.values())
 
 

@@ -65,14 +65,11 @@ def test_run_fig5_averages_multiple_runs():
 
 
 def test_run_fig6_and_fig7_row_views():
-    from repro.experiments import DhtExperimentConfig, run_fig6
+    from repro.experiments import DhtExperimentConfig
     from repro.experiments.dht_ops import rows_for_figure, run_dht_experiment
-    from repro.experiments.fig7_dht_bandwidth import run_fig7
 
     cfg = DhtExperimentConfig(num_nodes=60, num_sections=8, num_puts=4, num_gets=4)
-    rows6 = run_fig6(cfg, systems=("dhash",))
-    assert {r.operation for r in rows6} == {"get", "put"}
-    rows7 = run_fig7(cfg, systems=("dhash",))
-    assert all(r.mean_bytes > 0 for r in rows7)
     flat = rows_for_figure(run_dht_experiment(cfg, systems=("dhash",)))
     assert len(flat) == 2
+    assert {r.operation for r in flat} == {"get", "put"}
+    assert all(r.mean_bytes > 0 for r in flat)

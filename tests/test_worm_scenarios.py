@@ -4,6 +4,7 @@ containment *ordering* must reproduce."""
 import pytest
 
 from repro.worm import (
+    SCENARIOS,
     WormScenarioConfig,
     build_chord_population,
     build_verme_population,
@@ -77,6 +78,17 @@ def test_ordering_chord_fastest(results):
     fast = results["verme-fast"].time_to_fraction(0.95)
     assert chord is not None and fast is not None
     assert chord < fast
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_attacker_is_not_counted_as_a_victim(scenario):
+    """The impersonator seeds three scenarios from its own non-vulnerable
+    machine; run to the end, no scenario reports more infected victims
+    than there are vulnerable nodes, and the last victim is the t100."""
+    r = run_scenario(scenario, WormScenarioConfig(num_nodes=1000, num_sections=64, seed=3))
+    assert r.final_infected <= r.vulnerable_count
+    if r.final_infected == r.vulnerable_count:
+        assert r.time_to_fraction(1.0) == r.curve.final_time
 
 
 # -- population construction -----------------------------------------------------
