@@ -109,6 +109,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.stats import LookupStats
+from ..ids.draws import unique_id
 from ..ids.sections import VermeIdLayout
 from ..net.message import (
     ADDR_BYTES,
@@ -558,23 +559,9 @@ class ColumnarEngine:
     # -- build: id draws, bootstrap, timer starts ---------------------------
 
     def _create_row(self, host: int, inc: int) -> int:
-        idrng = self._id_rng
-        used = self._used_ids
-        if self._verme:
-            node_type = host % 2  # VermeNodeFactory.type_for_host
-            layout = self._layout
-            while True:
-                nid = layout.random_id(idrng, node_type)
-                if nid not in used:
-                    used.add(nid)
-                    break
-        else:
-            bits = self._bits
-            while True:
-                nid = idrng.getrandbits(bits)
-                if nid not in used:
-                    used.add(nid)
-                    break
+        # VermeNodeFactory.type_for_host: host % 2 (Chord ids are untyped).
+        source = self._layout if self._verme else self._config.space
+        nid = unique_id(self._id_rng, source, host % 2, self._used_ids)
         row = len(self.node_id)
         self.node_id.append(nid)
         self.host.append(host)

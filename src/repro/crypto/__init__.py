@@ -1,6 +1,4 @@
-"""Simulated certificates, keys, sealed payloads, and admission."""
-
-from .admission import AdmissionController, AdmissionPolicy
+"""Simulated certificates, keys, and sealed payloads."""
 
 from .certificates import (
     CertificateAuthority,
@@ -11,8 +9,6 @@ from .certificates import (
 from .sealed import SealedPayload, SealError, seal
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionPolicy",
     "CertificateAuthority",
     "CertificateError",
     "KeyPair",

@@ -34,6 +34,7 @@ from ..chord.config import OverlayConfig
 from ..chord.state import NodeInfo
 from ..dht import DHashNode, DhtConfig
 from ..dht.fragments import FragmentConfig, FragmentedDHashNode
+from ..ids.draws import unique_ids
 from ..ids.idspace import IdSpace
 from ..ids.sections import VermeIdLayout
 from ..net import ConstantLatency, Network
@@ -160,15 +161,8 @@ def run_load_comparison(
     section-bounded rule with the predecessor corner case."""
     space = IdSpace(id_bits)
     layout = VermeIdLayout.for_sections(space, num_sections)
-    rng = random.Random(seed)
-    used: set = set()
-    infos = []
-    for i in range(num_nodes):
-        nid = layout.random_id(rng, i % 2)
-        while nid in used:
-            nid = layout.random_id(rng, i % 2)
-        used.add(nid)
-        infos.append(NodeInfo(nid, NodeAddress(i)))
+    ids = unique_ids(random.Random(seed), layout, [i % 2 for i in range(num_nodes)])
+    infos = [NodeInfo(nid, NodeAddress(i)) for i, nid in enumerate(ids.tolist())]
     chord_overlay = StaticOverlay(space, infos)
     verme_overlay = VermeStaticOverlay(layout, infos)
     return LoadComparison(
@@ -211,15 +205,8 @@ def run_multitype_containment(
     space = IdSpace(id_bits)
     layout = VermeIdLayout.for_sections(space, num_sections, type_bits=type_bits)
     rng = random.Random(seed)
-    used: set = set()
-    infos = []
-    for i in range(num_nodes):
-        node_type = i % layout.num_types
-        nid = layout.random_id(rng, node_type)
-        while nid in used:
-            nid = layout.random_id(rng, node_type)
-        used.add(nid)
-        infos.append(NodeInfo(nid, NodeAddress(i)))
+    ids = unique_ids(rng, layout, [i % layout.num_types for i in range(num_nodes)])
+    infos = [NodeInfo(nid, NodeAddress(i)) for i, nid in enumerate(ids.tolist())]
     overlay = VermeStaticOverlay(layout, infos)
     vulnerable = [layout.type_of(nid) == 0 for nid in overlay.ids]
     knowledge = RoutingKnowledge(

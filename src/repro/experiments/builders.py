@@ -22,6 +22,7 @@ from ..chord.node import ChordNode
 from ..chord.ring import ChurnDriver, LookupWorkload, Population, instant_bootstrap
 from ..crypto.certificates import CertificateAuthority
 from ..ids.assignment import NodeType
+from ..ids.draws import unique_id
 from ..ids.sections import VermeIdLayout
 from ..net.addressing import NodeAddress
 from ..net.king import king_model
@@ -91,13 +92,6 @@ class ChordNodeFactory:
         self._id_rng = rngs.stream("node-ids")
         self._used_ids: Set[int] = set()
 
-    def _fresh_id(self) -> int:
-        while True:
-            candidate = self._id_rng.getrandbits(self.config.space.bits)
-            if candidate not in self._used_ids:
-                self._used_ids.add(candidate)
-                return candidate
-
     def create(self, host_slot: int, incarnation: int) -> ChordNode:
         """A new node for ``host_slot``'s ``incarnation``."""
         node = self._new_node(host_slot, incarnation)
@@ -107,10 +101,9 @@ class ChordNodeFactory:
 
     def _new_node(self, host_slot: int, incarnation: int) -> ChordNode:
         address = NodeAddress(host_slot, incarnation)
+        node_id = unique_id(self._id_rng, self.config.space, 0, self._used_ids)
         jitter = self.rngs.stream(f"jitter-{host_slot}-{incarnation}")
-        return ChordNode(
-            self.sim, self.network, self.config, self._fresh_id(), address, jitter
-        )
+        return ChordNode(self.sim, self.network, self.config, node_id, address, jitter)
 
 
 class VermeNodeFactory(ChordNodeFactory):
@@ -134,16 +127,9 @@ class VermeNodeFactory(ChordNodeFactory):
         """The platform type of every node ever run on ``host_slot``."""
         return NodeType(host_slot % 2)
 
-    def _fresh_typed_id(self, node_type: NodeType) -> int:
-        while True:
-            candidate = self.layout.random_id(self._id_rng, node_type)
-            if candidate not in self._used_ids:
-                self._used_ids.add(candidate)
-                return candidate
-
     def _new_node(self, host_slot: int, incarnation: int) -> VermeNode:
         node_type = self.type_for_host(host_slot)
-        node_id = self._fresh_typed_id(node_type)
+        node_id = unique_id(self._id_rng, self.layout, node_type, self._used_ids)
         cert, keys = self.ca.issue(node_id, node_type)
         address = NodeAddress(host_slot, incarnation)
         jitter = self.rngs.stream(f"jitter-{host_slot}-{incarnation}")

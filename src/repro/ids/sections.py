@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple
 
+import numpy as np
+
+from .draws import getrandbits_fields
 from .idspace import IdSpace
 
 
@@ -113,6 +116,10 @@ class VermeIdLayout:
         """The type field of an identifier (node id or key)."""
         return (ident >> self.section_bits) & (self.num_types - 1)
 
+    def types_of(self, ids: np.ndarray) -> np.ndarray:
+        """Array :meth:`type_of` over ``uint64`` ids."""
+        return (ids >> np.uint64(self.section_bits)) & np.uint64(self.num_types - 1)
+
     def section_index(self, ident: int) -> int:
         """Global section number (high bits concatenated with type bits)."""
         return self.space.validate(ident) >> self.section_bits
@@ -167,11 +174,30 @@ class VermeIdLayout:
 
     # -- id generation ------------------------------------------------------
 
+    # Scalar form over plain ints beside an array form over ``uint64``
+    # ids (rings of at most 64 bits), drawing the same RNG stream.
+
     def random_id(self, rng: random.Random, node_type: int) -> int:
         """A fresh id for a node of ``node_type`` (high and low random)."""
         high = rng.getrandbits(self.high_bits)
         low = rng.getrandbits(self.section_bits)
         return self.make_id(high, node_type, low)
+
+    def random_ids(self, rng: random.Random, types: Sequence[int]) -> np.ndarray:
+        """Array :meth:`random_id`: one id per entry of ``types``, equal
+        to ``[self.random_id(rng, t) for t in types]``."""
+        if self.space.bits > 64:
+            raise ValueError("array ids need a ring of at most 64 bits")
+        types = np.asarray(types, dtype=np.uint64)
+        if len(types) and int(types.max()) >= self.num_types:
+            raise ValueError(f"type field {int(types.max())} out of range")
+        high, low = getrandbits_fields(
+            rng, (self.high_bits, self.section_bits), len(types)
+        )
+        high <<= np.uint64(self.type_bits + self.section_bits)
+        high |= types << np.uint64(self.section_bits)
+        high |= low
+        return high
 
     def random_key(self, rng: random.Random) -> int:
         """A uniformly random key (keys are not type-structured)."""

@@ -69,19 +69,27 @@ class StaticOverlay:
         dataclasses dominate construction cost and RSS; the worm
         simulations only ever consult ``ids`` and index arithmetic, so
         :attr:`infos` stays lazy (materialised on first access, with
-        addresses equal to the sorted position).
+        addresses equal to the sorted position).  ``ids`` is any
+        sequence of ints; a ``uint64`` array (a batch of
+        :func:`~repro.ids.draws.unique_ids`) sorts in numpy and stays as
+        the cache of :meth:`_ids_numpy`.
         """
-        if not ids:
+        if len(ids) == 0:
             raise ValueError("an overlay needs at least one node")
         self = object.__new__(cls)
         self.space = space
-        sorted_ids = sorted(ids)
-        for a, b in zip(sorted_ids, sorted_ids[1:]):
-            if a == b:
-                raise ValueError("duplicate node ids in overlay population")
-        self.ids = sorted_ids
         self._infos = None
         self._ids_np = None
+        if getattr(ids, "dtype", None) == np.uint64:
+            ordered = np.sort(ids)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValueError("duplicate node ids in overlay population")
+            self.ids = ordered.tolist()
+            self._ids_np = ordered
+        else:
+            self.ids = sorted(ids)
+            if any(a == b for a, b in zip(self.ids, self.ids[1:])):
+                raise ValueError("duplicate node ids in overlay population")
         return self
 
     @property

@@ -21,7 +21,10 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..ids.assignment import NodeType
+from ..ids.draws import random_array, unique_ids
 from ..ids.idspace import IdSpace
 from ..ids.sections import VermeIdLayout
 from ..obs import OBS, maybe_phase
@@ -147,17 +150,6 @@ class WormRunResult:
         return self.curve.final_count - self._attackers
 
 
-def _unique_ids(count: int, gen, used: set) -> List[int]:
-    out = []
-    while len(out) < count:
-        candidate = gen()
-        if candidate in used:
-            continue
-        used.add(candidate)
-        out.append(candidate)
-    return out
-
-
 def build_verme_population(
     config: WormScenarioConfig,
     rng: random.Random,
@@ -168,35 +160,28 @@ def build_verme_population(
     the opposite (claimed) type and is itself the infection seed."""
     space = IdSpace(config.id_bits)
     layout = VermeIdLayout.for_sections(space, config.num_sections)
-    used: set = set()
     half = config.num_nodes // 2
-    ids_a = _unique_ids(half, lambda: layout.random_id(rng, NodeType.A), used)
-    ids_b = _unique_ids(
-        config.num_nodes - half, lambda: layout.random_id(rng, NodeType.B), used
+    # A ids, then B ids, then the impersonator's: one batch of draws.
+    types = np.repeat(
+        [int(NodeType.A), int(NodeType.B), int(config.victim_type.opposite)],
+        [half, config.num_nodes - half, int(with_impersonator)],
     )
-    ids = ids_a + ids_b
-    imp_id: Optional[int] = None
-    if with_impersonator:
-        claimed = config.victim_type.opposite
-        imp_id = _unique_ids(1, lambda: layout.random_id(rng, claimed), used)[0]
-        ids.append(imp_id)
-    # from_ids skips NodeInfo materialisation (lazy on the overlay); the
-    # RNG draw order above is unchanged, so populations are bit-identical
-    # to the eager construction.
+    ids = unique_ids(rng, layout, types)
+    imp_id = int(ids[-1]) if with_impersonator else None
+    # from_ids skips NodeInfo materialisation (lazy on the overlay).
     overlay = VermeStaticOverlay.from_ids(layout, ids)
-    # Id order was permuted by the overlay's sort; recompute per-index
-    # attributes in overlay order.
-    node_types = [layout.type_of(nid) for nid in overlay.ids]
-    vulnerable = [
-        t == int(config.victim_type)
-        and (config.immune_fraction <= 0.0 or rng.random() >= config.immune_fraction)
-        for t in node_types
-    ]
+    del ids
+    # Per-index attributes in overlay (sorted) order.
+    if space.bits <= 64:
+        node_types = layout.types_of(overlay._ids_numpy())
+    else:
+        node_types = np.array([layout.type_of(nid) for nid in overlay.ids])
+    vulnerable = _vulnerable_mask(config, rng, node_types)
     imp_index: Optional[int] = None
     if imp_id is not None:
         imp_index = overlay.index_of(imp_id)
         vulnerable[imp_index] = False  # the attacker's own machine
-    return WormPopulation(overlay, vulnerable, node_types, imp_index)
+    return WormPopulation(overlay, vulnerable, node_types.tolist(), imp_index)
 
 
 def build_chord_population(
@@ -205,19 +190,27 @@ def build_chord_population(
     """Random Chord ids; platform types assigned independently of the
     ids (Chord knows nothing of types), half of the machines vulnerable."""
     space = IdSpace(config.id_bits)
-    used: set = set()
-    ids = _unique_ids(config.num_nodes, lambda: rng.getrandbits(space.bits), used)
-    overlay = StaticOverlay.from_ids(space, ids)
-    node_types = [
-        int(config.victim_type) if rng.random() < 0.5 else int(config.victim_type.opposite)
-        for _ in range(len(overlay))
-    ]
-    vulnerable = [
-        t == int(config.victim_type)
-        and (config.immune_fraction <= 0.0 or rng.random() >= config.immune_fraction)
-        for t in node_types
-    ]
-    return WormPopulation(overlay, vulnerable, node_types)
+    overlay = StaticOverlay.from_ids(space, unique_ids(rng, space, config.num_nodes))
+    victim = int(config.victim_type)
+    # One coin per node, in overlay order: the victim type below 0.5.
+    node_types = np.where(
+        random_array(rng, len(overlay)) < 0.5, victim, int(config.victim_type.opposite)
+    )
+    vulnerable = _vulnerable_mask(config, rng, node_types)
+    return WormPopulation(overlay, vulnerable, node_types.tolist())
+
+
+def _vulnerable_mask(
+    config: WormScenarioConfig, rng: random.Random, node_types: np.ndarray
+) -> List[bool]:
+    """Victim-type nodes, less the immune ones: one ``random()`` per
+    victim-type node in overlay order, drawn only when
+    ``immune_fraction`` is set."""
+    vulnerable = node_types == int(config.victim_type)
+    if config.immune_fraction > 0.0:
+        draws = random_array(rng, int(vulnerable.sum()))
+        vulnerable[vulnerable] = draws >= config.immune_fraction
+    return vulnerable.tolist()
 
 
 def run_scenario(
