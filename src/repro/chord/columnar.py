@@ -108,6 +108,8 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..analysis.stats import LookupStats
 from ..ids.draws import unique_id
 from ..ids.sections import VermeIdLayout
@@ -140,11 +142,6 @@ from .rules import (
     stabilize_candidates,
 )
 from .state import NodeInfo
-
-try:  # numpy is part of the baked toolchain, but keep a scalar fallback
-    import numpy as np
-except Exception:  # pragma: no cover
-    np = None
 
 #: What this engine does not do (feature -> wording), each refusal raised
 #: from here; the object engine does it all (docs/architecture.md).
@@ -638,7 +635,7 @@ class ColumnarEngine:
         else:
             overlay = StaticOverlay.from_ids(self._config.space, ids)
         fingers = self.fingers
-        if np is not None and self._bits <= 64:
+        if self._bits <= 64:
             kmin, oi, ok = overlay.finger_owners_np(np.arange(n, dtype=np.int64))
             if oi is not None:
                 for row, row_oi, row_ok in zip(order, oi.tolist(), ok.tolist()):

@@ -151,9 +151,6 @@ class ChordNode:
         #: serving-layer admission control (repro.chord.admission);
         #: None = unlimited capacity, the paper's model.
         self.admission = None
-        #: callbacks fired when the failure detector purges a peer
-        #: (the DHT hot-key cache invalidates through this).
-        self._down_hooks: List = []
         self.lookups_started = 0
         self.lookups_failed = 0
         # Per-hop constants, computed once: the forward path consults
@@ -399,8 +396,6 @@ class ChordNode:
         self.successors.remove_address(info.address)
         self.predecessors.remove_address(info.address)
         self.fingers.remove_address(info.address)
-        for hook in self._down_hooks:
-            hook(info)
 
     # -- fingers ------------------------------------------------------------------
 

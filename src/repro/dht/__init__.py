@@ -13,7 +13,6 @@ from .fragments import (
     fragment_value,
     reassemble,
 )
-from .hotkey import HotKeyTracker, LoadEstimator, ReplicaCache
 from .secure import SecureVerDiNode
 from .verdi import VerDiNode
 
@@ -27,10 +26,7 @@ __all__ = [
     "Fragment",
     "FragmentConfig",
     "FragmentedDHashNode",
-    "HotKeyTracker",
-    "LoadEstimator",
     "ReassemblyError",
-    "ReplicaCache",
     "fragment_value",
     "reassemble",
     "IntegrityError",

@@ -27,7 +27,6 @@ from ..net.message import ID_BYTES
 from ..obs import OBS
 from ..sim import PeriodicTimer
 from .blocks import BlockStore, block_key, verify_block
-from .hotkey import HotKeyTracker, LoadEstimator, ReplicaCache
 
 
 @dataclass(frozen=True)
@@ -37,35 +36,15 @@ class DhtConfig:
     ``num_replicas`` is the paper's *n*: DHash places *n* replicas on
     the key's successors; VerDi splits them *n/2* + *n/2* across two
     opposite-type sections (§5.2).
-
-    The serving-layer knobs are off by default (the paper's model):
-    ``hot_cache`` turns on hot-key detection, replica-entry caching and
-    value promotion (``hot_window_s`` / ``hot_threshold`` /
-    ``cache_capacity`` / ``cache_ttl_s``); ``load_aware`` orders the
-    replica list least-loaded-first on the read path
-    (``load_ewma_alpha``).  See ``docs/serving.md``.
     """
 
     num_replicas: int = 6
     stabilize_interval_s: float = 60.0
     fetch_retries: int = 3
-    hot_cache: bool = False
-    hot_window_s: float = 10.0
-    hot_threshold: int = 3
-    cache_capacity: int = 128
-    cache_ttl_s: float = 30.0
-    load_aware: bool = False
-    load_ewma_alpha: float = 0.3
 
     def __post_init__(self) -> None:
         if self.num_replicas < 1:
             raise ValueError("need at least one replica")
-        if self.hot_window_s <= 0 or self.cache_ttl_s <= 0:
-            raise ValueError("hot window and cache ttl must be positive")
-        if self.hot_threshold < 1 or self.cache_capacity < 1:
-            raise ValueError("hot threshold and cache capacity must be >= 1")
-        if not 0.0 < self.load_ewma_alpha <= 1.0:
-            raise ValueError("load ewma alpha must be in (0, 1]")
 
     @property
     def replicas_per_section(self) -> int:
@@ -105,9 +84,6 @@ class _Op:
     value: Optional[bytes] = None
     targets: List[NodeInfo] = field(default_factory=list)
     attempts: int = 0
-    #: targets came from the replica cache (hints): on exhaustion fall
-    #: back to the full lookup path instead of failing the op.
-    from_cache: bool = False
 
 
 class DhtNode:
@@ -117,10 +93,6 @@ class DhtNode:
     DATA_CATEGORY = "data"
     #: category for background replica maintenance (untagged)
     REPLICATION_CATEGORY = "replication"
-    #: variants whose gets are piggybacked on the lookup (Secure /
-    #: Compromise-VerDi) never see replica entries, so the entry-cache
-    #: fast path and value promotion are structurally incompatible.
-    ENTRY_CACHE_OK = True
 
     def __init__(self, node: ChordNode, config: DhtConfig) -> None:
         self.node = node
@@ -133,22 +105,6 @@ class DhtNode:
             self._data_stabilize,
             jitter_rng=getattr(node, "_jitter_rng", None),
         )
-        self.hot_tracker: Optional[HotKeyTracker] = None
-        self.replica_cache: Optional[ReplicaCache] = None
-        self.load: Optional[LoadEstimator] = None
-        if config.hot_cache:
-            self.hot_tracker = HotKeyTracker(
-                config.hot_window_s, config.hot_threshold
-            )
-            self.replica_cache = ReplicaCache(
-                config.cache_capacity, config.cache_ttl_s
-            )
-            # Failure-detector purges invalidate cached address hints.
-            hooks = getattr(node, "_down_hooks", None)
-            if hooks is not None:
-                hooks.append(self._peer_down)
-        if config.load_aware:
-            self.load = LoadEstimator(config.load_ewma_alpha)
         node.rpc.register("dht_fetch", self._h_fetch)
         node.rpc.register("dht_store", self._h_store)
         node.rpc.register("dht_offer", self._h_offer)
@@ -176,35 +132,8 @@ class DhtNode:
         return key
 
     def get(self, key: int, on_done: OpCallback) -> int:
-        """Retrieve the value stored under ``key``.
-
-        With ``hot_cache`` on, hot keys take two fast paths before the
-        overlay lookup: a locally promoted copy (content-addressed, so
-        never stale) is returned immediately, and cached replica entries
-        skip straight to the fetch phase (the hints may be stale — the
-        fallback in :meth:`_fetch_from` restores correctness).
-        """
+        """Retrieve the value stored under ``key``."""
         op = _Op("get", key, next_op_tag(), on_done, self.node.sim.now)
-        tracker = self.hot_tracker
-        if tracker is not None and self.ENTRY_CACHE_OK:
-            now = self.node.sim.now
-            tracker.note(key, now)
-            value = self.store.get(key)
-            if value is not None:
-                metrics = OBS.metrics
-                if metrics is not None:
-                    metrics.counter("dht.cache.local_hit").inc()
-                self._finish(op, True, value=value)
-                return op.op_tag
-            cached = self.replica_cache.get(key, now)
-            if cached is not None:
-                metrics = OBS.metrics
-                if metrics is not None:
-                    metrics.counter("dht.cache.entry_hit").inc()
-                op.from_cache = True
-                op.targets = self._order_targets(cached)
-                self._fetch_from(op, self._fetch_params_extra())
-                return op.op_tag
         self._start_get(op)
         return op.op_tag
 
@@ -359,36 +288,10 @@ class DhtNode:
 
     # -- client-side helpers ------------------------------------------------------------
 
-    def _fetch_params_extra(self) -> Optional[dict]:
-        """Extra dht_fetch params for cache-hit fetches (Fast-VerDi's
-        certificate); None for the plain DHash request."""
-        return None
-
-    def _order_targets(self, targets: List[NodeInfo]) -> List[NodeInfo]:
-        """Load-aware replica selection: least-loaded-first when on."""
-        if self.load is None:
-            return list(targets)
-        return self.load.order(targets)
-
-    def _peer_down(self, info: NodeInfo) -> None:
-        """Failure-detector purge: dead addresses leave the cache."""
-        self.replica_cache.invalidate_address(info.address)
-
     def _fetch_from(self, op: _Op, params_extra: Optional[dict] = None) -> None:
         """Try the next target in ``op.targets`` until one returns the
-        value (verified against the key) or targets are exhausted.
-
-        Cache-hint exhaustion is not a failure: the op falls back to the
-        full lookup path (and the useless cache entry is dropped)."""
+        value (verified against the key) or targets are exhausted."""
         if not op.targets:
-            if op.from_cache:
-                op.from_cache = False
-                self.replica_cache.invalidate(op.key)
-                metrics = OBS.metrics
-                if metrics is not None:
-                    metrics.counter("dht.cache.fallback").inc()
-                self._start_get(op)
-                return
             self._finish(op, False, error="no replica answered")
             return
         target = op.targets.pop(0)
@@ -407,31 +310,12 @@ class DhtNode:
         params = {"key": op.key}
         if params_extra:
             params.update(params_extra)
-        load = self.load
-        started = self.node.sim.now
-
-        def _on_reply(res: dict) -> None:
-            if load is not None:
-                load.note_done(target.address, self.node.sim.now - started)
-            self._fetch_reply(op, res, target, params_extra)
-
-        def _on_error(err: str) -> None:
-            if load is not None:
-                load.note_done(
-                    target.address, self.node.sim.now - started, failed=True
-                )
-            if op.from_cache:
-                self.replica_cache.discard_address(op.key, target.address)
-            self._fetch_from(op, params_extra)
-
-        if load is not None:
-            load.note_start(target.address)
         self.node.rpc.call(
             target.address,
             "dht_fetch",
             params,
-            on_reply=_on_reply,
-            on_error=_on_error,
+            on_reply=lambda res: self._fetch_reply(op, res),
+            on_error=lambda err: self._fetch_from(op, params_extra),
             timeout_s=self._data_timeout_s(),
             size=self._fetch_request_bytes(),
             category=self.DATA_CATEGORY,
@@ -441,73 +325,17 @@ class DhtNode:
     def _unpackage_value(self, payload: object) -> bytes:
         return payload  # type: ignore[return-value]
 
-    def _fetch_reply(
-        self,
-        op: _Op,
-        res: dict,
-        target: Optional[NodeInfo] = None,
-        params_extra: Optional[dict] = None,
-    ) -> None:
+    def _fetch_reply(self, op: _Op, res: dict) -> None:
         if not res.get("found"):
-            if op.from_cache:
-                # A stale hint (replica no longer holds the key): drop
-                # the address and keep the cert/params on the retry.
-                if target is not None:
-                    self.replica_cache.discard_address(op.key, target.address)
-                self._fetch_from(op, params_extra)
-                return
             self._fetch_from(op)
             return
         try:
             value = self._unpackage_value(res["value"])
             verify_block(self.space, op.key, value)
         except Exception as exc:
-            if op.from_cache:
-                if target is not None:
-                    self.replica_cache.discard_address(op.key, target.address)
-                self._fetch_from(op, params_extra)
-                return
             self._finish(op, False, error=str(exc))
             return
-        tracker = self.hot_tracker
-        if (
-            tracker is not None
-            and self.ENTRY_CACHE_OK
-            and op.op == "get"
-            and tracker.is_hot(op.key, self.node.sim.now)
-        ):
-            self._promote(op.key, value)
         self._finish(op, True, value=value)
-
-    def _promote(self, key: int, value: bytes) -> None:
-        """Hot-key replica promotion: keep a verified local copy.
-
-        The copy serves this node's future reads (and anyone's
-        ``dht_fetch``) without touching the replica group.  Safe by
-        construction: the value is content-addressed and was verified
-        above, and a non-member never replicates it outward because
-        ``_local_group_view`` returns [] for keys it does not own."""
-        if self.store.get(key) is not None:
-            return
-        try:
-            self.store.put(key, value)
-        except ValueError:
-            return
-        metrics = OBS.metrics
-        if metrics is not None:
-            metrics.counter("dht.cache.promotions").inc()
-
-    def _note_entries(self, key: int, entries: List[NodeInfo]) -> None:
-        """Lookup finished for ``key``: cache its replica entries when
-        the key is hot (subclasses call this from ``_get_entries``)."""
-        tracker = self.hot_tracker
-        if (
-            tracker is not None
-            and self.ENTRY_CACHE_OK
-            and entries
-            and tracker.is_hot(key, self.node.sim.now)
-        ):
-            self.replica_cache.put(key, entries, self.node.sim.now)
 
     def _lookup_then(
         self,

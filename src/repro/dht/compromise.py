@@ -24,10 +24,6 @@ from .fast import FastVerDiNode
 class CompromiseVerDiNode(FastVerDiNode):
     """Compromise-VerDi attached to one Verme node."""
 
-    # The relay does the address-bearing part: the initiator never
-    # holds replica entries, so the hot-key entry cache cannot apply.
-    ENTRY_CACHE_OK = False
-
     def __init__(self, node, config) -> None:
         super().__init__(node, config)
         node.rpc.register("verdi_relay", self._h_relay)

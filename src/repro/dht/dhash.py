@@ -71,6 +71,5 @@ class DHashNode(DhtNode):
         if not res.success or not res.entries:
             self._finish(op, False, error=res.error or "lookup failed")
             return
-        self._note_entries(op.key, list(res.entries))
-        op.targets = self._order_targets(res.entries)
+        op.targets = list(res.entries)
         self._fetch_from(op)

@@ -95,8 +95,7 @@ class FastVerDiNode(VerDiNode):
         if not res.success or not res.entries:
             self._finish(op, False, error=res.error or "lookup failed")
             return
-        self._note_entries(op.key, list(res.entries))
-        op.targets = self._order_targets(res.entries)
+        op.targets = list(res.entries)
         self._fetch_from(op, params_extra=self._fetch_params_extra())
 
     def _put_entries(self, op: _Op, res: LookupResult) -> None:

@@ -27,10 +27,6 @@ from .verdi import VerDiNode
 class SecureVerDiNode(VerDiNode):
     """Secure-VerDi attached to one Verme node."""
 
-    # Gets are piggybacked on the lookup (no replica entries ever reach
-    # the initiator): the hot-key entry cache cannot apply.
-    ENTRY_CACHE_OK = False
-
     def _install_hooks(self) -> None:
         self.node.verify_dht_lookup = self._verify_dht_lookup
         self.node.dht_lookup_hook = self._responsible_hook

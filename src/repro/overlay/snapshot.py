@@ -21,10 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-try:  # numpy accelerates the batched knowledge-extraction path
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..chord.state import NodeInfo
 from ..ids.idspace import IdSpace
@@ -305,10 +302,10 @@ class StaticOverlay:
         preserved) and ``counts[r]`` is the length of row ``r``.  The
         batch is vectorised with numpy through the class's array rules
         (``_finger_targets_np``, ``_owners_np``, ``_finger_allowed_np``),
-        so one kernel serves every overlay class.  Without numpy, or on
-        rings wider than 64 bits, it falls back to the scalar path.
+        so one kernel serves every overlay class.  Rings wider than 64
+        bits take the scalar path.
         """
-        if np is None or self.space.bits > 64:
+        if self.space.bits > 64:
             flat: List[int] = []
             counts: List[int] = []
             for index in indices:
@@ -445,48 +442,6 @@ class VermeStaticOverlay(StaticOverlay):
         os_ = owner_ids >> sb
         return (os_ == own) | ((os_ & tmask) != (own & tmask))
 
-    def routing_target_indices(
-        self, index: int, num_successors: int, num_predecessors: int
-    ) -> List[int]:
-        """:meth:`StaticOverlay.routing_target_indices` with the three
-        Verme rules (displacement, corner-rule ownership, containment
-        refusal) inlined as int shifts and masks plus one ``bisect_left``
-        per finger: the singleton-cohort path, where numpy's per-call
-        overhead would lose to plain ints."""
-        out, seen = self._neighbour_indices(index, num_successors, num_predecessors)
-        ids = self.ids
-        n = len(ids)
-        layout = self.layout
-        mask = self.space.mask
-        sb = layout.section_bits
-        length = layout.section_length
-        tmask = layout.num_types - 1
-        x = ids[index]
-        span = (ids[(index + 1) % n] - x) & mask
-        if span == 0:  # single-node overlay
-            return out
-        own = x >> sb
-        own_type = own & tmask
-        for k in range(span.bit_length(), self.space.bits):
-            t = (x + (1 << k)) & mask
-            ts = t >> sb
-            if ts != own and ts & tmask == own_type:  # displacement
-                t = (t + length) & mask
-                ts = t >> sb
-            si = bisect_left(ids, t)
-            oi = si % n
-            if ids[oi] >> sb != ts:  # corner rule
-                oi = si - 1 if si else n - 1
-            owner_sec = ids[oi] >> sb
-            if (
-                oi != index
-                and oi not in seen
-                and (owner_sec == own or owner_sec & tmask != own_type)  # containment
-            ):
-                seen.add(oi)
-                out.append(oi)
-        return out
-
     def section_members(self, section_index: int) -> List[NodeInfo]:
         """All nodes whose ids fall in the given section."""
         start, end = self.layout.section_bounds(section_index)
@@ -554,5 +509,3 @@ class NaiveFingerVermeOverlay(VermeStaticOverlay):
     _finger_targets_np = StaticOverlay._finger_targets_np
     _finger_entry_allowed = StaticOverlay._finger_entry_allowed
     _finger_allowed_np = StaticOverlay._finger_allowed_np
-    # The inlined Verme scalar path hard-codes displacement and refusal.
-    routing_target_indices = StaticOverlay.routing_target_indices

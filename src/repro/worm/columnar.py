@@ -18,9 +18,13 @@ built for million-node populations.  Three structural changes:
   kernel event (:meth:`~repro.sim.engine.Simulator.peek_next_time`), so
   harvester injections still interleave exactly as they would with
   per-event scheduling and can wake idle scanners immediately.
-* **Vectorised drains** — large scan/completion cohorts and knowledge
-  extraction batches go through numpy gather/scatter over zero-copy
-  ``frombuffer`` views of the byte columns and cursor arrays.
+* **Vectorised drains** — large scan/completion/activation cohorts go
+  through numpy gather/scatter over zero-copy ``frombuffer`` views of
+  the byte columns and cursor arrays, and knowledge extraction is
+  batched across the activation window: every infected node waits
+  ``activation_delay`` in its bucket, so one ``targets_of_many`` call
+  covers the draining cohort and the pending activation buckets
+  behind it (:meth:`ColumnarWormSimulation._extract_window`).
 
 Equivalence with the legacy engine is bit-for-bit on the
 :class:`~repro.worm.model.InfectionCurve` (asserted by
@@ -56,10 +60,7 @@ import heapq
 from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-try:  # numpy accelerates bulk drains; every path has a scalar fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..obs import OBS
 from ..sim import Simulator
@@ -80,9 +81,10 @@ from .model import (
 #: scalar loop wins (array-creation overhead dominates tiny batches).
 _VEC_MIN = 32
 
-#: Knowledge extraction switches to ``targets_of_many`` at this cohort
-#: size (the batched path beats scalar extraction almost immediately).
-_BATCH_KNOWLEDGE_MIN = 2
+#: One ``targets_of_many`` call covers pending activation buckets until
+#: it holds this many nodes; the cap bounds the kernel's (rows x
+#: fingers) temporaries.
+_KNOWLEDGE_BATCH = 1024
 
 #: The arena is only compacted once it is past this size *and* mostly
 #: garbage; small arenas are never worth rewriting.
@@ -172,18 +174,24 @@ class ColumnarWormSimulation:
         self._kind_order = [kind for _lag, kind in lagged]
 
         self._targets_unique = bool(getattr(knowledge, "targets_unique", False))
-        self._targets_of_many = getattr(knowledge, "targets_of_many", None)
+        self._targets_of_many = (
+            getattr(knowledge, "targets_of_many", None)
+            if self._targets_unique
+            else None
+        )
+        # Knowledge rows extracted ahead of activation, keyed by
+        # activation bucket time: (nodes covered, flat, counts).
+        self._rows: Dict[float, Tuple[int, np.ndarray, np.ndarray]] = {}
 
         # Zero-copy numpy views.  The byte columns and cursor arrays
         # never resize, so these views stay valid for the whole run;
         # the arena reallocates on growth, so its view is versioned.
-        if np is not None:
-            self._state_np = np.frombuffer(self._state, dtype=np.uint8)
-            self._vuln_np = np.frombuffer(self._vuln, dtype=np.uint8)
-            self._idle_np = np.frombuffer(self._idle, dtype=np.uint8)
-            self._qs_np = np.frombuffer(self._q_start, dtype=np.int64)
-            self._qh_np = np.frombuffer(self._q_head, dtype=np.int64)
-            self._qe_np = np.frombuffer(self._q_end, dtype=np.int64)
+        self._state_np = np.frombuffer(self._state, dtype=np.uint8)
+        self._vuln_np = np.frombuffer(self._vuln, dtype=np.uint8)
+        self._idle_np = np.frombuffer(self._idle, dtype=np.uint8)
+        self._qs_np = np.frombuffer(self._q_start, dtype=np.int64)
+        self._qh_np = np.frombuffer(self._q_head, dtype=np.int64)
+        self._qe_np = np.frombuffer(self._q_end, dtype=np.int64)
         self._arena_np = None
         self._arena_version = 0
         self._arena_np_version = -1
@@ -438,12 +446,63 @@ class ColumnarWormSimulation:
             )
         self._ensure_tick()
 
+    # -- knowledge window ----------------------------------------------------------
+
+    def _knowledge_rows(self, t: float, cohort: List[int]):
+        """The routing rows of the cohort activating at ``t`` as
+        ``(flat, counts)``: the rows a window batch already computed,
+        plus a fresh batch for any nodes the bucket gained after it was
+        covered (a ``seed`` or a colliding ``t' + delay`` float sum)."""
+        covered, flat, counts = self._rows.pop(t, (0, None, None))
+        if covered == len(cohort):
+            return flat, counts
+        tail_flat, tail_counts = self._extract_window(cohort[covered:])
+        if not covered:
+            return tail_flat, tail_counts
+        return (
+            np.concatenate((flat, tail_flat)),
+            np.concatenate((counts, tail_counts)),
+        )
+
+    def _extract_window(self, nodes: List[int]):
+        """One ``targets_of_many`` call for ``nodes`` that also covers
+        the pending activation buckets, in creation (= time) order,
+        until the batch holds :data:`_KNOWLEDGE_BATCH` nodes.  Buckets
+        already covered or past the run horizon are skipped.  A node's
+        rows are a pure function of its index on the static overlay, so
+        extracting them early is invisible: the arena append still
+        happens at activation, after any harvester feed.  Returns the
+        rows of ``nodes``; the others wait in ``_rows``."""
+        batch = list(nodes)
+        spans = []
+        rows = self._rows
+        horizon = self.sim.horizon
+        for bt, members in self._act_buckets.items():
+            if len(batch) >= _KNOWLEDGE_BATCH:
+                break
+            if bt in rows or (horizon is not None and bt > horizon):
+                continue
+            spans.append((bt, len(members)))
+            batch.extend(members)
+        flat, counts = self._targets_of_many(batch)
+        flat = np.asarray(flat).astype(np.intc)
+        counts = np.asarray(counts, dtype=np.int64)
+        offsets = np.zeros(len(batch) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        head = lo = len(nodes)
+        for bt, size in spans:
+            hi = lo + size
+            rows[bt] = (size, flat[offsets[lo] : offsets[hi]], counts[lo:hi])
+            lo = hi
+        return flat[: offsets[head]], counts[:head]
+
     # -- drains ------------------------------------------------------------------
 
     def _drain_activations(self, t: float, cohort: List[int]) -> None:
-        """Worms activating at ``t``: start scanning, harvest routing
-        knowledge (batched through ``targets_of_many`` when the model
-        offers it), then queue the first scan or go idle."""
+        """Worms activating at ``t``: start scanning, append routing
+        knowledge to each queue (rows from the window batch when the
+        model offers ``targets_of_many``), then queue the first scan or
+        go idle."""
         self.logical_events += len(cohort)
         trace = OBS.trace
         if trace is not None:
@@ -460,41 +519,27 @@ class ColumnarWormSimulation:
         q_start, q_head, q_end = self._q_start, self._q_head, self._q_end
         idle = self._idle
         bucket: Optional[List[int]] = None
-        batched = (
-            self._targets_of_many is not None
-            and self._targets_unique
-            and len(cohort) >= _BATCH_KNOWLEDGE_MIN
-        )
-        if batched:
-            flat, counts = self._targets_of_many(cohort)
-            flat_is_np = np is not None and isinstance(flat, np.ndarray)
+        if self._targets_of_many is not None:
+            flat, counts = self._knowledge_rows(t, cohort)
             arena = self._arena
             self._arena_np = None
             base = len(arena)
-            if flat_is_np:
-                arena.frombytes(flat.astype(np.intc, copy=False).tobytes())
-            else:
-                arena.extend(flat)
+            arena.frombytes(flat.tobytes())
             self._arena_version += 1
             carr = None
-            if (
-                flat_is_np
-                and isinstance(counts, np.ndarray)
-                and len(cohort) >= _VEC_MIN
-            ):
+            if len(cohort) >= _VEC_MIN:
                 carr = np.asarray(cohort, dtype=np.int64)
                 if (self._qs_np[carr] != -1).any():
                     carr = None  # rare pre-fed node: take the scalar path
             if carr is not None:
                 # Whole-cohort cursor assignment: every node is fresh, so
                 # its segment is exactly its slice of the bulk copy.
-                cnts = counts.astype(np.int64, copy=False)
-                ends = base + np.cumsum(cnts)
-                starts = ends - cnts
+                ends = base + np.cumsum(counts)
+                starts = ends - counts
                 self._qs_np[carr] = starts
                 self._qh_np[carr] = starts
                 self._qe_np[carr] = ends
-                nonempty = cnts > 0
+                nonempty = counts > 0
                 act = carr[nonempty]
                 if act.size:
                     bucket = self._scan_buckets.setdefault(scan_t, [])
@@ -504,11 +549,8 @@ class ColumnarWormSimulation:
                 if bucket is not None:
                     self._push_time(scan_t)
                 return
-            if np is not None and isinstance(counts, np.ndarray):
-                counts = counts.tolist()
             offset = 0
-            for r, i in enumerate(cohort):
-                count = counts[r]
+            for i, count in zip(cohort, counts.tolist()):
                 seg = base + offset
                 offset += count
                 if q_start[i] == -1:
@@ -521,9 +563,7 @@ class ColumnarWormSimulation:
                     # row goes through the dedup path instead.
                     self._garbage += count
                     row = flat[offset - count : offset]
-                    self._append_targets(
-                        i, row.tolist() if flat_is_np else row, True
-                    )
+                    self._append_targets(i, row.tolist(), True)
                 if q_head[i] < q_end[i]:
                     if bucket is None:
                         bucket = self._scan_buckets.setdefault(scan_t, [])
@@ -557,7 +597,7 @@ class ColumnarWormSimulation:
         scan_t = t + self._interval
         points = self.curve.points
         trace = OBS.trace
-        if np is not None and count >= _VEC_MIN and trace is None:
+        if count >= _VEC_MIN and trace is None:
             state_np = self._state_np
             att = np.array(attackers, dtype=np.int64)
             tgt = np.array(targets, dtype=np.int64)
@@ -619,7 +659,7 @@ class ColumnarWormSimulation:
         order-independent and safe to vectorise."""
         self.logical_events += len(cohort)
         trace = OBS.trace
-        if np is not None and len(cohort) >= _VEC_MIN and trace is None:
+        if len(cohort) >= _VEC_MIN and trace is None:
             nodes = np.array(cohort, dtype=np.int64)
             qh_np = self._qh_np
             heads = qh_np[nodes]

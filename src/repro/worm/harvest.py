@@ -56,6 +56,8 @@ class ImpersonatorKnowledge:
         self.victim_type = victim_type
 
     def targets_of(self, index: int) -> List[int]:
+        """The impersonator's routing entries of the victim type; every
+        other node keeps the base model's targets."""
         if index != self.impersonator_index:
             return self.base.targets_of(index)
         layout = self.overlay.layout

@@ -34,7 +34,10 @@ class KnowledgeModel(Protocol):
     target lists plus per-row lengths — which batch engines prefer.
     """
 
-    def targets_of(self, index: int) -> List[int]: ...
+    def targets_of(self, index: int) -> List[int]:
+        """The overlay indices the worm on ``index`` can target, in the
+        order it scans them."""
+        ...
 
 
 class RoutingKnowledge:
@@ -63,6 +66,8 @@ class RoutingKnowledge:
         self.layout = layout
 
     def targets_of(self, index: int) -> List[int]:
+        """The node's routing entries (successors, predecessors, then
+        fingers), restricted to its own type when ``same_type_only``."""
         indices = self.overlay.routing_target_indices(
             index, self.num_successors, self.num_predecessors
         )
