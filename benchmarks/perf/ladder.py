@@ -22,16 +22,22 @@ Each record carries the suite's six end-to-end metrics (``wall_clock_s``
 is the suite's ``run_wall_s``), ``bytes_per_node`` (peak RSS over the
 population) and the cell's exact counts.  A rung's ``setup_s`` is its
 build phases only: the ladder has imported the package before the
-suite times the import.
+suite times the import.  The live-1k and live-10k records also carry
+``memory_sites``: the top allocation sites by size retained right after
+``sim.run``, from one extra repeat under ``tracemalloc`` that runs after
+the timed ones (so neither their times nor the peak RSS see its cost).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import linecache
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
@@ -47,6 +53,9 @@ from repro.experiments.fig5_lookup_latency import run_cell_instrumented  # noqa:
 
 SEED = 0
 COUNTS = ("chord.lookups", "chord.lookup_failures", "worm.scans", "worm.infected")
+#: Rungs whose record gets a ``memory_sites`` table, and its length.
+MEMORY_SITE_RUNGS = ("live-1k", "live-10k")
+MEMORY_SITES = 10
 
 
 def object_fig5_cell(
@@ -95,6 +104,55 @@ RUNGS: Dict[str, Rung] = {
 }
 
 
+def _site(frame) -> str:
+    """``path:line`` of a traceback frame, the path relative to the
+    deepest ``sys.path`` entry that holds it (no machine paths)."""
+    path = Path(frame.filename)
+    roots = sorted((Path(p) for p in sys.path if p), key=lambda p: len(p.parts))
+    for root in reversed(roots):
+        if path.is_relative_to(root):
+            path = path.relative_to(root)
+            break
+    return f"{path.as_posix()}:{frame.lineno}"
+
+
+def memory_sites(name: str, smoke: bool) -> dict:
+    """One untimed repeat of rung ``name`` under ``tracemalloc``: the
+    :data:`MEMORY_SITES` allocation sites holding the most memory right
+    after ``sim.run`` returns.  A live cell runs one engine per system
+    or arm, each inside the suite's ``frozen_gc`` context; that context
+    is wrapped to take the table at its exit, and the run that traced
+    the most memory is reported (``run`` is its index in the cell)."""
+    tables = []
+    frozen_gc = cells.frozen_gc
+
+    @contextmanager
+    def snapshotting():
+        with frozen_gc():
+            yield
+            traced = tracemalloc.get_traced_memory()[0]
+            top = tracemalloc.take_snapshot().statistics("lineno")[:MEMORY_SITES]
+            tables.append({
+                "run": len(tables),
+                "traced_mib": traced / 2**20,
+                "sites": [
+                    {"site": _site(frame), "mib": stat.size / 2**20, "blocks": stat.count,
+                     "code": linecache.getline(frame.filename, frame.lineno).strip()}
+                    for stat in top
+                    for frame in (stat.traceback[0],)
+                ],
+            })
+
+    cells.frozen_gc = snapshotting
+    tracemalloc.start()
+    try:
+        RUNGS[name].as_workload(name).run(cells.Spans(), SEED, smoke)
+    finally:
+        tracemalloc.stop()
+        cells.frozen_gc = frozen_gc
+    return max(tables, key=lambda table: table["traced_mib"])
+
+
 def measure_rung(name: str, smoke: bool) -> dict:
     """One rung through ``run.measure``, as a schema-v1 bench record."""
     rung = RUNGS[name]
@@ -125,6 +183,8 @@ def measure_rung(name: str, smoke: bool) -> dict:
         sim_digest=measured["sim_digest"], correct=measured["correct"],
         problems=measured["problems"],
     )
+    if name in MEMORY_SITE_RUNGS:
+        record["memory_sites"] = memory_sites(name, smoke)
     return record
 
 

@@ -27,6 +27,11 @@ Equivalence argument (tested bit-for-bit in
   from the same constants at the same protocol points, including the
   quirk that error results are always accounted under the default
   ``"lookup"`` category.
+* **Same latencies, no pair memo.**  A request computes both one-way
+  delays of its pair at once and carries the reverse one to its reply
+  (per-hop ack, maintenance reply, and via the forward state the
+  result relayed back upstream); the values are the latency model's,
+  bit for bit, and the engine holds no per-pair cache.
 * **Compute, don't schedule.**  A kernel event whose outcome is already
   determined when it would be pushed is not queued: its seq is burned
   and its bytes accounted at the push, and it is tallied so that
@@ -52,6 +57,12 @@ Equivalence argument (tested bit-for-bit in
                        delay: FIFO ``_Calendar``)      it)
   forward-state GC     the reply passed back through   nothing (cancelled
   of a relay           before a sweep reached it       there too)
+  either of the two    dead when ``add`` finds the     nothing (dropped
+  above, held dead     deque at its limit (compacted   from memory, never
+  in its calendar      before the append: a fresh      queued)
+                       attempt timeout reads dead
+                       until ``_attempt`` sets the
+                       lookup's token)
   forward-state GC     token unforked, so nothing      ``elided`` /
   of the last node     can observe the entry again;    ``_future_elided``;
                        row's ``death_at`` is later     nothing if the crash
@@ -189,6 +200,10 @@ _NO_EXCLUDE: frozenset = frozenset()
 
 _WORST_CASE_BANDWIDTH = 1e4  # bytes/s; mirrors ChordNode._WORST_CASE_BANDWIDTH
 
+#: A ``_Calendar`` is compacted when it reaches ``max(this, 2 x live
+#: entries at the last compaction)`` entries: O(1) amortised per add.
+_CALENDAR_COMPACT_MIN = 1024
+
 
 @contextmanager
 def frozen_gc():
@@ -258,9 +273,20 @@ class _Calendar:
     pops their cancelled handles silently).
     Only an entry that dies *after* the sweep was armed for it costs a
     kernel event, counted as a phantom.
+
+    Most entries die long before they reach the head (a forward's GC
+    timer dies when the reply passes back; an attempt timeout when the
+    lookup finishes), so ``add`` compacts the deque once it reaches a
+    limit: every dead entry goes but the armed head, whose ``(expire,
+    seq)`` the queued sweep event carries.  The limit then becomes
+    ``max(_CALENDAR_COMPACT_MIN, 2 x kept)``, so the deque holds at most
+    about twice its live entries.  Compaction runs *before* the new
+    entry is appended, because "dead stays dead" has one exception: an
+    attempt timeout is armed before ``_attempt`` sets the lookup's
+    token, so the entry just added reads dead until that call returns.
     """
 
-    __slots__ = ("_engine", "_dead", "_fire", "_queue", "_armed")
+    __slots__ = ("_engine", "_dead", "_fire", "_queue", "_armed", "_limit")
 
     def __init__(self, engine: "ColumnarEngine", dead, fire) -> None:
         self._engine = engine
@@ -268,9 +294,13 @@ class _Calendar:
         self._fire = fire
         self._queue: deque = deque()
         self._armed = False
+        self._limit = _CALENDAR_COMPACT_MIN
 
     def add(self, expire: float, seq: int, item) -> None:
-        self._queue.append((expire, seq, item))
+        queue = self._queue
+        if len(queue) >= self._limit:
+            self._compact()
+        queue.append((expire, seq, item))
         if not self._armed:
             self._armed = True
             sim = self._engine._sim
@@ -295,6 +325,19 @@ class _Calendar:
             sim._live += 1
         else:
             self._armed = False
+
+    def _compact(self) -> None:
+        # In place: a sweep whose fire callback adds (a retried attempt
+        # re-arms its timeout) still holds this deque.  A deque that has
+        # reached the limit is non-empty, so it has an armed head.
+        queue = self._queue
+        dead = self._dead
+        head = queue.popleft()
+        kept = [entry for entry in queue if not dead(entry[2])]
+        queue.clear()
+        queue.append(head)
+        queue.extend(kept)
+        self._limit = max(_CALENDAR_COMPACT_MIN, 2 * len(queue))
 
 
 class _Membership:
@@ -373,35 +416,23 @@ class ColumnarEngine:
         self._acct_o = acct.bytes_by_op
 
         # Latency: matrix models get the same per-source row cache as
-        # Network.send; KingCoordinates shares the model's own pair
-        # memo (values are deterministic, so cached vs recomputed is
-        # bit-identical), with a size cap so a 100k-host run cannot
-        # grow the memo without bound.
+        # Network.send.  A request computes both directions of its pair
+        # at once (``_pair``) and carries the reverse latency to its
+        # reply — the per-hop ack, the maintenance reply, and through
+        # the forward state to the result relay — so nothing is
+        # memoised per pair: a model with a ``pair`` method (King
+        # coordinates) gets one square root per request, and its own
+        # memo is left to Network.send.
         model = network.latency_model
         self._lat_row_fn = getattr(model, "row", None)
         self._lat_rows: Optional[Dict[int, object]] = (
             {} if self._lat_row_fn is not None else None
         )
-        self._king = None
-        # Pair-latency memo bound: the steady working set is about
-        # peers-per-node (~succ + pred + log2 n fingers, both
-        # directions) times hosts — ~6M pairs at 100k nodes — and a cap
-        # below it causes periodic clear/recompute storms, so size for
-        # the 100k tier (~60 B/entry -> ~1 GiB ceiling).
-        self._king_cache_cap = 16_000_000
-        if self._lat_rows is None:
-            if hasattr(model, "_points") and hasattr(model, "_scale"):
-                self._king = (
-                    model._cache,
-                    model.num_hosts,
-                    model._points,
-                    model._out,
-                    model._in,
-                    model.floor_s,
-                    model._scale,
-                )
-            else:
-                self._lat_scalar = model.latency
+        self._lat_scalar = model.latency
+        pair = getattr(model, "pair", None) if self._lat_rows is None else None
+        if pair is not None:
+            self._pair = pair  # shadows the two-call fallback below
+            self._lat_scalar = lambda a, b: pair(a, b)[0]
 
         # Bandwidth: the engine mirrors Network.send's uncontended
         # path (delivery delay = latency + size / bandwidth when the
@@ -426,7 +457,7 @@ class ColumnarEngine:
         self.rejoin_next: List[int] = []
         self.tok: List[int] = []  # per-row token counters
         self.lookups: List[dict] = []  # {token: _Lookup}
-        self.forwards: List[dict] = []  # {token: (upstream_row, params)}
+        self.forwards: List[dict] = []  # {token: (upstream_row, params, expire, up_lat)}
         # Routing-candidate cache (rules.route_candidates, keyed by the
         # fver/sver it was built from).
         self.cand_keys: List[Optional[list]] = []
@@ -483,36 +514,18 @@ class ColumnarEngine:
                 return rows[a][b]
             except KeyError:
                 return rows.setdefault(a, self._lat_row_fn(a))[b]
-        king = self._king
-        if king is None:
-            return self._lat_scalar(a, b)
-        if a == b:
-            return 0.0
-        cache, num_hosts, points, out, incoming, floor_s, scale = king
-        key = a * num_hosts + b
-        value = cache.get(key)
-        if value is not None:
-            return value
-        pa = points[a]
-        pb = points[b]
-        total = 0.0
-        for i in range(len(pa)):
-            d = pa[i] - pb[i]
-            total += d * d
-        one_way = math.sqrt(total) * out[a] * incoming[b]
-        if one_way < floor_s:
-            one_way = floor_s
-        value = one_way * scale
-        if len(cache) >= self._king_cache_cap:
-            cache.clear()
-        cache[key] = value
-        return value
+        return self._lat_scalar(a, b)
 
-    def _delay(self, a: int, b: int, size: int) -> float:
+    def _pair(self, a: int, b: int) -> Tuple[float, float]:
+        """Pure latency ``a -> b`` and ``b -> a`` (the model's own
+        ``pair`` replaces this per instance where it has one)."""
+        return self._latency(a, b), self._latency(b, a)
+
+    def _delay(self, lat: float, a: int, b: int, size: int) -> float:
         """Delivery delay with a bandwidth model: Network.send's
-        uncontended ``latency + size / bandwidth`` (zero-bandwidth
-        pairs fall back to pure latency, as there)."""
-        lat = self._latency(a, b)
+        uncontended ``latency + size / bandwidth`` over the pure
+        latency ``lat`` of ``a -> b`` (zero-bandwidth pairs fall back
+        to pure latency, as there)."""
         bw = self._bw(a, b)
         if bw:
             lat = lat + size / bw
@@ -814,20 +827,28 @@ class ColumnarEngine:
         self._acct_b["maintenance"] += size
         self._acct_m["maintenance"] += 1
         deadline = sim._now + self._rpc_to
+        src_host = self.host[src_row]
+        dst_host = self.host[dst_entry[1]]
+        lat, back = self._pair(src_host, dst_host)
         t = sim._now + (
-            self._latency(self.host[src_row], self.host[dst_entry[1]])
-            if self._bw is None
-            else self._delay(self.host[src_row], self.host[dst_entry[1]], size)
+            lat if self._bw is None else self._delay(lat, src_host, dst_host, size)
         )
         heapq.heappush(
             sim._queue,
-            (t, seq + 1, self._ev_req, (src_row, dst_entry, deadline, seq, which)),
+            (t, seq + 1, self._ev_req, (src_row, dst_entry, deadline, seq, which, back)),
         )
         sim._live += 1
 
     def _ev_req(
-        self, src_row: int, dst_entry: tuple, deadline: float, timer_seq: int, which: int
+        self,
+        src_row: int,
+        dst_entry: tuple,
+        deadline: float,
+        timer_seq: int,
+        which: int,
+        back: float,
     ) -> None:
+        # ``back``: the pure latency of the reply's way, dst -> src.
         dst_row = dst_entry[1]
         sim = self._sim
         if sim._now >= deadline:
@@ -841,10 +862,10 @@ class ColumnarEngine:
             return
         if which == _M_NOTIFY:
             self._merge_pred(dst_row, ((self.node_id[src_row], src_row),))
-            self._reply_info_free(src_row, dst_row, deadline, timer_seq, dst_entry)
+            self._reply_info_free(src_row, dst_row, deadline, timer_seq, dst_entry, back)
             return
         if which == _M_PING:
-            self._reply_info_free(src_row, dst_row, deadline, timer_seq, dst_entry)
+            self._reply_info_free(src_row, dst_row, deadline, timer_seq, dst_entry, back)
             return
         # get_neighbors: content reply, always materialized; payload and
         # size are snapshotted at respond time, as the object handler does.
@@ -856,9 +877,9 @@ class ColumnarEngine:
         self._acct_b["maintenance"] += size
         self._acct_m["maintenance"] += 1
         t = sim._now + (
-            self._latency(self.host[dst_row], self.host[src_row])
+            back
             if self._bw is None
-            else self._delay(self.host[dst_row], self.host[src_row], size)
+            else self._delay(back, self.host[dst_row], self.host[src_row], size)
         )
         payload = (preds[0] if preds else None, tuple(succs), tuple(preds))
         late = not (t < deadline)
@@ -889,20 +910,27 @@ class ColumnarEngine:
         )
 
     def _reply_info_free(
-        self, src_row: int, dst_row: int, deadline: float, timer_seq: int, dst_entry: tuple
+        self,
+        src_row: int,
+        dst_row: int,
+        deadline: float,
+        timer_seq: int,
+        dst_entry: tuple,
+        back: float,
     ) -> None:
         """A reply that provably mutates nothing at the caller (ack of a
-        notify/ping).  In-time under a run horizon: elide it (and the
-        failure timer the object engine cancels).  Late: materialize both."""
+        notify/ping), over pure latency ``back``.  In-time under a run
+        horizon: elide it (and the failure timer the object engine
+        cancels).  Late: materialize both."""
         sim = self._sim
         seq = sim._next_seq
         sim._next_seq = seq + 1
         self._acct_b["maintenance"] += MIN_RPC_BYTES
         self._acct_m["maintenance"] += 1
         t = sim._now + (
-            self._latency(self.host[dst_row], self.host[src_row])
+            back
             if self._bw is None
-            else self._delay(self.host[dst_row], self.host[src_row], MIN_RPC_BYTES)
+            else self._delay(back, self.host[dst_row], self.host[src_row], MIN_RPC_BYTES)
         )
         if t < deadline:
             self._info_free_ack(t, seq, src_row)
@@ -1299,10 +1327,11 @@ class ColumnarEngine:
         if op_tag is not None:
             self._acct_o[op_tag] += size
         deadline = sim._now + timeout
+        src_host = self.host[row]
+        dst_host = self.host[dst_row]
+        lat, back = self._pair(src_host, dst_host)
         t = sim._now + (
-            self._latency(self.host[row], self.host[dst_row])
-            if self._bw is None
-            else self._delay(self.host[row], self.host[dst_row], size)
+            lat if self._bw is None else self._delay(lat, src_host, dst_host, size)
         )
         heapq.heappush(
             sim._queue,
@@ -1310,7 +1339,7 @@ class ColumnarEngine:
                 t,
                 seq + 1,
                 self._ev_fwd,
-                (dst_row, row, params, deadline, seq, errk, errctx, category, op_tag),
+                (dst_row, row, params, deadline, seq, errk, errctx, category, op_tag, back),
             ),
         )
         sim._live += 1
@@ -1326,7 +1355,10 @@ class ColumnarEngine:
         errctx,
         category: str,
         op_tag,
+        back: float,
     ) -> None:
+        # ``back``: the pure latency dst -> src, of the ack and of a
+        # result sent back upstream.
         sim = self._sim
         if sim._now >= deadline:
             extra = params[6]
@@ -1355,9 +1387,9 @@ class ColumnarEngine:
         if op_tag is not None:
             self._acct_o[op_tag] += MIN_RPC_BYTES
         t = sim._now + (
-            self._latency(self.host[dst_row], self.host[src_row])
+            back
             if self._bw is None
-            else self._delay(self.host[dst_row], self.host[src_row], MIN_RPC_BYTES)
+            else self._delay(back, self.host[dst_row], self.host[src_row], MIN_RPC_BYTES)
         )
         if t < deadline:
             self._info_free_ack(t, seq, src_row)
@@ -1380,7 +1412,8 @@ class ColumnarEngine:
         hops = params[4]
         if hops > self._max_hops:
             self._send_result_back(
-                dst_row, params, src_row, False, None, "hop limit", None, 0, "lookup", None
+                dst_row, params, src_row, False, None, "hop limit", None, 0, "lookup", None,
+                back,
             )
             return
         adm = self.adm[dst_row]
@@ -1393,16 +1426,18 @@ class ColumnarEngine:
             if type(verdict) is str:  # shed cause
                 self._send_result_back(
                     dst_row, params, src_row, False, None, verdict, None, 0,
-                    "lookup", None,
+                    "lookup", None, back,
                 )
                 return
             # Mirrors ChordNode._h_route_forward's sim.schedule of
-            # _process_forward: one kernel event, one burned seq.
+            # _process_forward: one kernel event, one burned seq.  The
+            # reverse latency is recomputed there rather than held by
+            # every queued forward.
             self._push(
                 verdict, self._ev_fwd_proc, (dst_row, src_row, params, category, op_tag)
             )
             return
-        self._accept_forward(dst_row, src_row, params, category, op_tag)
+        self._accept_forward(dst_row, src_row, params, category, op_tag, back)
 
     def _ev_fwd_proc(
         self, dst_row: int, src_row: int, params: tuple, category: str, op_tag
@@ -1412,17 +1447,20 @@ class ColumnarEngine:
         if not self.alive[dst_row]:
             return
         self.adm[dst_row].release()
-        self._accept_forward(dst_row, src_row, params, category, op_tag)
+        back = self._latency(self.host[dst_row], self.host[src_row])
+        self._accept_forward(dst_row, src_row, params, category, op_tag, back)
 
     def _accept_forward(
-        self, row: int, upstream: int, params: tuple, category: str, op_tag
+        self, row: int, upstream: int, params: tuple, category: str, op_tag, up_lat: float
     ) -> None:
         """Recursive bookkeeping (forward state + its GC timer), then
-        route.  The GC seq is burned either way; where the chain ends
-        here on an unforked token, nothing can observe the entry again
-        (no reply passes through, no second forward arrives), so its GC
-        event is counted instead of queued — unless the row's crash
-        comes first and cancels it, as in the object engine."""
+        route.  The forward state is ``(upstream, params, expire,
+        up_lat)``, ``up_lat`` the pure latency of a result's way back to
+        ``upstream``.  The GC seq is burned either way; where the chain
+        ends here on an unforked token, nothing can observe the entry
+        again (no reply passes through, no second forward arrives), so
+        its GC event is counted instead of queued — unless the row's
+        crash comes first and cancels it, as in the object engine."""
         decision = None
         if params[2] is _REC:
             token = params[1]
@@ -1442,10 +1480,10 @@ class ColumnarEngine:
                     else:
                         heapq.heappush(self._future_elided, expire)
             else:
-                fwd[token] = (upstream, params, expire)
+                fwd[token] = (upstream, params, expire, up_lat)
                 self._gc.add(expire, gseq, (row, token, expire))
         self._continue_forward(
-            row, params, upstream, _NO_EXCLUDE, category, op_tag, decision
+            row, params, upstream, _NO_EXCLUDE, category, op_tag, decision, up_lat
         )
 
     def _continue_forward(
@@ -1457,14 +1495,16 @@ class ColumnarEngine:
         category: str,
         op_tag,
         decision: Optional[tuple] = None,
+        up_lat: Optional[float] = None,
     ) -> None:
         done, owner_self, nxt = decision or self._route_next(row, params[0], exclude)
         if done:
-            self._terminate_route(row, params, upstream, owner_self, category, op_tag)
+            self._terminate_route(row, params, upstream, owner_self, category, op_tag, up_lat)
             return
         if nxt is None:
             self._send_result_back(
-                row, params, upstream, False, None, "no route", None, 0, "lookup", None
+                row, params, upstream, False, None, "no route", None, 0, "lookup", None,
+                up_lat,
             )
             return
         fwd_params = (
@@ -1523,13 +1563,20 @@ class ColumnarEngine:
         del self.forwards[item[0]][item[1]]  # a leaked forward expires
 
     def _terminate_route(
-        self, row: int, params: tuple, upstream: int, owner_self: bool, category: str, op_tag
+        self,
+        row: int,
+        params: tuple,
+        upstream: int,
+        owner_self: bool,
+        category: str,
+        op_tag,
+        up_lat: Optional[float] = None,
     ) -> None:
         key = params[0]
         err = self._verify_core(row, params[8], key, params[3], params[5])
         if err is not None:
             self._send_result_back(
-                row, params, upstream, False, None, err, None, 0, "lookup", None
+                row, params, upstream, False, None, err, None, 0, "lookup", None, up_lat
             )
             return
         purpose = params[3]
@@ -1541,7 +1588,7 @@ class ColumnarEngine:
                 self._hook_terminal(row, params, upstream, hook, entries, category, op_tag)
                 return
         self._send_result_back(
-            row, params, upstream, True, entries, None, None, 0, category, op_tag
+            row, params, upstream, True, entries, None, None, 0, category, op_tag, up_lat
         )
 
     def _send_result_back(
@@ -1556,7 +1603,11 @@ class ColumnarEngine:
         extra_bytes: int,
         category: str,
         op_tag,
+        up_lat: Optional[float] = None,
     ) -> None:
+        """Send a lookup's result from ``row``: to the origin if the
+        lookup is transitive, else back ``upstream``, over ``up_lat``
+        when the caller knows that latency (``None``: computed)."""
         size = MIN_RPC_BYTES + extra_bytes
         payload = None
         if ok and entries is not None:
@@ -1567,19 +1618,28 @@ class ColumnarEngine:
             dst = params[7]
             if dst is None:
                 return
+            up_lat = None
         else:
             dst = upstream
-        self._send_result(row, dst, rparams, category, op_tag)
+        self._send_result(row, dst, rparams, category, op_tag, up_lat)
 
     def _send_result(
-        self, src_row: int, dst_row: int, rparams: tuple, category: str, op_tag
+        self,
+        src_row: int,
+        dst_row: int,
+        rparams: tuple,
+        category: str,
+        op_tag,
+        lat: Optional[float] = None,
     ) -> None:
         """Send a route_result one hop — and, while the outcome of the
         next relay's ``_ev_res`` is already determined, the hops after
         it: same seq burn, same bytes, same float additions per hop as
         the relay event would have made, ``elided`` instead of a kernel
         event.  One ``_ev_res`` is queued at the first hop that fails a
-        guard (see the module docstring's table)."""
+        guard (see the module docstring's table).  ``lat`` is the first
+        hop's pure latency, if known; each relay's is in its forward
+        state."""
         sim = self._sim
         now = sim._now
         token = rparams[0]
@@ -1597,10 +1657,10 @@ class ColumnarEngine:
             acct_m[category] += 1
             if op_tag is not None:
                 self._acct_o[op_tag] += size
+            if lat is None:
+                lat = self._latency(host[src_row], host[dst_row])
             t = now + (
-                self._latency(host[src_row], host[dst_row])
-                if self._bw is None
-                else self._delay(host[src_row], host[dst_row], size)
+                lat if self._bw is None else self._delay(lat, host[src_row], host[dst_row], size)
             )
             if (
                 collapse
@@ -1615,6 +1675,7 @@ class ColumnarEngine:
                     self.elided += 1
                     src_row = dst_row
                     dst_row = fwd[0]
+                    lat = fwd[3]
                     now = t
                     continue
             heapq.heappush(
@@ -1636,7 +1697,7 @@ class ColumnarEngine:
         if fwd is None:
             return  # stale / GC'ed
         # relay upstream (the gc calendar entry is now stale)
-        self._send_result(dst_row, fwd[0], rparams, category, op_tag)
+        self._send_result(dst_row, fwd[0], rparams, category, op_tag, fwd[3])
 
     def _initiator_result(self, st: _Lookup, rparams: tuple) -> None:
         # Last act of _ev_res: every _finish below is in tail position.

@@ -20,7 +20,7 @@ DESIGN.md §5 for the substitution argument.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -82,13 +82,16 @@ class KingCoordinates:
     * scale calibration from a fixed-size random sample of directed
       pairs (exact summation over 10k^2 pairs would defeat the point).
 
-    Computed pairs are memoised in a plain dict keyed by
-    ``a * num_hosts + b``, so steady-state overlay traffic — each node
-    talking to a bounded peer set — pays the trigonometry once per
-    directed edge and a dict hit afterwards.  There is deliberately no
-    ``row`` view: materialising rows is exactly the O(n^2) cost this
-    model exists to avoid, so :class:`~repro.net.network.Network` uses
-    the scalar protocol path.
+    :meth:`latency` memoises computed pairs in a plain dict keyed by
+    ``a * num_hosts + b``, so the object engine's steady-state overlay
+    traffic — each node talking to a bounded peer set — pays the
+    arithmetic once per directed edge and a dict hit afterwards.
+    :meth:`pair` memoises nothing: it computes both directions of a
+    pair from one square root, for callers that carry the reverse
+    delay to the reply themselves (the columnar engine).  There is
+    deliberately no ``row`` view: materialising rows is exactly the
+    O(n^2) cost this model exists to avoid, so
+    :class:`~repro.net.network.Network` uses the scalar protocol path.
     """
 
     def __init__(
@@ -130,24 +133,42 @@ class KingCoordinates:
         self._cache: Dict[int, float] = {}
 
     def latency(self, a: int, b: int) -> float:
+        """One-way delay from host ``a`` to host ``b`` in seconds
+        (0 for ``a == b``), memoised per directed pair."""
         if a == b:
             return 0.0
         key = a * self.num_hosts + b
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = self.pair(a, b)[0]
+        return value
+
+    def pair(self, a: int, b: int) -> Tuple[float, float]:
+        """``(latency(a, b), latency(b, a))`` from one square root,
+        memoising nothing.
+
+        :meth:`latency` computes its misses here, and the distance is
+        symmetric bit for bit (``(x - y)**2 == (y - x)**2``), so the
+        reverse value equals ``pair(b, a)[0]`` exactly.
+        """
+        if a == b:
+            return 0.0, 0.0
         pa = self._points[a]
         pb = self._points[b]
         total = 0.0
-        for i in range(len(pa)):
-            d = pa[i] - pb[i]
+        for x, y in zip(pa, pb):
+            d = x - y
             total += d * d
-        one_way = math.sqrt(total) * self._out[a] * self._in[b]
-        if one_way < self.floor_s:
-            one_way = self.floor_s
-        value = one_way * self._scale
-        self._cache[key] = value
-        return value
+        base = math.sqrt(total)
+        floor_s = self.floor_s
+        fwd = base * self._out[a] * self._in[b]
+        if fwd < floor_s:
+            fwd = floor_s
+        rev = base * self._out[b] * self._in[a]
+        if rev < floor_s:
+            rev = floor_s
+        scale = self._scale
+        return fwd * scale, rev * scale
 
 
 #: The latency models by config name (``Fig5Config.latency_model``).
@@ -155,7 +176,11 @@ KING_MODELS = {"king-matrix": king_matrix, "king-coords": KingCoordinates}
 
 
 def king_model(name: str, num_hosts: int, mean_rtt_s: float, seed: int):
-    """The :data:`KING_MODELS` model called ``name``; unknown names raise."""
+    """The :data:`KING_MODELS` model called ``name`` over ``num_hosts``
+    hosts, calibrated to ``mean_rtt_s`` and drawn from ``seed``.
+
+    Unknown names raise :class:`ValueError` listing the known ones.
+    """
     if name not in KING_MODELS:
         raise ValueError(f"unknown latency model {name!r} (available: {', '.join(KING_MODELS)})")
     return KING_MODELS[name](num_hosts=num_hosts, mean_rtt_s=mean_rtt_s, seed=seed)

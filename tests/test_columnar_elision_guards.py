@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import LookupStats
+from repro.chord import columnar
+from repro.chord.admission import AdmissionStats, NodeAdmission, ServicePolicy
 from repro.chord.columnar import ColumnarEngine
 from repro.chord.config import OverlayConfig
 from repro.chord.lookup import LookupStyle
 from repro.experiments.builders import build_live_ring
+from repro.experiments.fig5_lookup_latency import Fig5Config, run_cell_instrumented
 from repro.ids.idspace import IdSpace
 from repro.ids.sections import VermeIdLayout
 from repro.net.king import king_matrix
@@ -32,7 +35,8 @@ class _Cell:
     """One live cell on either engine, built in the drivers' order."""
 
     def __init__(
-        self, engine, config, lifetime_s=1e9, interval_s=1.0, verme=False, nodes=48
+        self, engine, config, lifetime_s=1e9, interval_s=1.0, verme=False, nodes=48,
+        admission=None,
     ):
         rngs = RngRegistry(11)
         self.sim = Simulator()
@@ -47,7 +51,9 @@ class _Cell:
         self.network = Network(self.sim, latency)
         self.stats = LookupStats()
         layout = VermeIdLayout.for_sections(config.space, 8) if verme else None
-        self.engine = build_live_ring(engine, self.sim, self.network, config, nodes, rngs, layout)
+        self.engine = build_live_ring(
+            engine, self.sim, self.network, config, nodes, rngs, layout, admission
+        )
         self.engine.start_churn(rngs.stream("churn"), lifetime_s)
         self.engine.start_workload(
             rngs.stream("workload"), LookupStyle.RECURSIVE, interval_s, self.stats, 0.0
@@ -178,6 +184,71 @@ def test_forward_state_gc_shorter_than_the_reply_path():
     assert expired_relay_hops[0] > 0
     assert timeouts[0] > 0
     assert col.stats.failures > 0  # the same path, so retries exhaust
+
+
+def _slow_service():
+    """A per-node admission factory that queues every DHT forward
+    behind a 2/s virtual server, so attempts queue past their timeout."""
+    return NodeAdmission(ServicePolicy(service_rate_per_s=2.0), AdmissionStats())
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [{"lifetime_s": 20.0}, {"admission": _slow_service}],
+    ids=["churn", "admission"],
+)
+def test_compacted_calendars_keep_every_live_timer(monkeypatch, cell):
+    """Calendar compaction drops only dead entries: with the compaction
+    threshold at four entries, the short-timeout churn and admission
+    cells compact hundreds of times, fire attempt timeouts for real
+    and still match the object graph.  Compacting *after* the append
+    fails here: a fresh attempt timeout reads dead until ``_attempt``
+    sets its token, so it would be dropped and never fire."""
+    monkeypatch.setattr(columnar, "_CALENDAR_COMPACT_MIN", 4)
+    compactions = [0]
+    compact = columnar._Calendar._compact
+
+    def counting(self):
+        compactions[0] += 1
+        compact(self)
+
+    monkeypatch.setattr(columnar._Calendar, "_compact", counting)
+    config = replace(BASE, lookup_timeout_s=2.0)
+
+    def instrument(engine):
+        return _count_calls(engine._lt, "_fire")
+
+    col, timeouts = _compare(config, [30.0, 60.0], instrument, **cell)
+    assert compactions[0] > 100
+    assert timeouts[0] > 0
+    assert col.stats.failures > 0
+
+
+def test_calendars_hold_at_most_twice_their_live_timers(monkeypatch):
+    """Structural pin on the live engine's working set: in a 1k fig5
+    run, neither calendar ever holds more than ``max(C, 2 x live) + 1``
+    entries (C the compaction threshold; the one is the attempt timeout
+    that reads dead until ``_attempt`` sets its token).  Without
+    compaction a calendar holds every timer armed in the last
+    ``lookup_timeout_s`` / ``pending_route_gc_s``, live or dead."""
+    adds = [0]
+    add = columnar._Calendar.add
+
+    def checked(self, expire, seq, item):
+        add(self, expire, seq, item)
+        adds[0] += 1
+        held = len(self._queue)
+        bound = columnar._CALENDAR_COMPACT_MIN + 1
+        if held > bound:
+            live = sum(not self._dead(entry[2]) for entry in self._queue)
+            bound = max(bound, 2 * live + 1)
+        assert held <= bound
+
+    monkeypatch.setattr(columnar._Calendar, "add", checked)
+    config = Fig5Config(num_nodes=1000, duration_s=60.0, warmup_s=30.0, engine="columnar")
+    row, _ = run_cell_instrumented(config, "verme", 600.0)
+    assert row.lookups > 0
+    assert adds[0] > 20 * columnar._CALENDAR_COMPACT_MIN
 
 
 def test_horizon_cuts_reply_chains_and_later_runs_resume_them():

@@ -47,6 +47,10 @@ def test_object_rung_reproduces_the_columnar_digest(monkeypatch):
         ladder.perf_common.validate_record(record)
         assert record["correct"], record["problems"]
         assert record["name"] not in ladder.cells.WORKLOADS
+    sites = columnar["memory_sites"]["sites"]
+    assert 0 < len(sites) <= ladder.MEMORY_SITES
+    assert all(site["mib"] > 0 and not site["site"].startswith("/") for site in sites)
+    assert "memory_sites" not in reference
     assert reference["parameters"]["engine"] == "object"
     assert reference["sim_digest"] == columnar["sim_digest"]
     assert reference["events"] == columnar["events"]

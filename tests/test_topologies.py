@@ -1,8 +1,16 @@
 """Unit tests for the synthetic King matrix and GT-ITM topologies."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
+from repro.analysis.stats import LookupStats
+from repro.chord.columnar import ColumnarEngine
+from repro.chord.config import OverlayConfig
+from repro.chord.lookup import LookupStyle
+from repro.ids.idspace import IdSpace
 from repro.net import (
     GtItmConfig,
     MatrixBandwidth,
@@ -11,6 +19,9 @@ from repro.net import (
     king_matrix,
     transfer_delay,
 )
+from repro.net.king import KingCoordinates
+from repro.net.network import Network
+from repro.sim import RngRegistry, Simulator
 
 
 # -- latency model basics ---------------------------------------------------------
@@ -71,6 +82,73 @@ def test_king_deterministic_per_seed():
 def test_king_rejects_tiny_population():
     with pytest.raises(ValueError):
         king_matrix(num_hosts=1)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _king_oracle(model, a, b):
+    """One-way King delay ``a -> b`` as the model defines it: Euclidean
+    distance summed in dimension order, times out[a] x in[b], floored,
+    then scaled."""
+    if a == b:
+        return 0.0
+    total = 0.0
+    for x, y in zip(model._points[a], model._points[b]):
+        total += (x - y) * (x - y)
+    one_way = math.sqrt(total) * model._out[a] * model._in[b]
+    return max(one_way, model.floor_s) * model._scale
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},  # the default five-dimensional geography
+        {"dimensions": 3},
+        {"floor_s": 0.8},  # over half the pairs clamped to the floor
+    ],
+)
+def test_king_coordinates_pair_is_both_memoised_latencies(kwargs):
+    """``pair(a, b)`` is ``(latency(a, b), latency(b, a))`` bit for bit,
+    and both equal the model's formula computed per direction: on random
+    pairs, on floor-clamped ones and on ``a == b``."""
+    n = 300
+    model = KingCoordinates(n, seed=7, **kwargs)
+    reference = KingCoordinates(n, seed=7, **kwargs)  # its memo fills
+    rng = random.Random(1)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    pairs += [(a, a) for a in range(0, n, 17)]
+    for a, b in pairs:
+        expected = _bits((_king_oracle(model, a, b), _king_oracle(model, b, a)))
+        assert _bits(model.pair(a, b)) == expected, (a, b)
+        assert _bits((reference.latency(a, b), reference.latency(b, a))) == expected, (a, b)
+    assert not model._cache
+    assert reference._cache
+    clamped = sum(
+        min(model.pair(a, b)) == model.floor_s * model._scale for a, b in pairs if a != b
+    )
+    if "floor_s" in kwargs:
+        assert clamped > len(pairs) // 2
+    assert model.pair(5, 5) == (0.0, 0.0)
+
+
+def test_columnar_engine_leaves_the_king_memo_empty():
+    """The columnar engine carries each hop's reverse latency instead of
+    memoising pairs: after a run with lookups, churn and maintenance,
+    the model's own memo (Network.send's) is still empty."""
+    nodes = 64
+    rngs = RngRegistry(5)
+    sim = Simulator()
+    model = KingCoordinates(nodes, seed=rngs.stream("king").randrange(2**31))
+    engine = ColumnarEngine(sim, Network(sim, model), OverlayConfig(space=IdSpace(64)))
+    engine.build(nodes, rngs)
+    engine.start_churn(rngs.stream("churn"), 300.0)
+    stats = LookupStats()
+    engine.start_workload(rngs.stream("workload"), LookupStyle.RECURSIVE, 2.0, stats, 0.0)
+    engine.run(240.0)
+    assert stats.successes > 0 and engine.deaths > 0
+    assert model._cache == {}
 
 
 # -- GT-ITM ----------------------------------------------------------------------------
