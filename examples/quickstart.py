@@ -16,7 +16,8 @@ from repro.dht import DhtConfig, FastVerDiNode
 from repro.ids import IdSpace, NodeType, VermeIdLayout
 from repro.net import ConstantLatency, Network, NodeAddress
 from repro.sim import Simulator
-from repro.verme import VermeNode, audit_overlay, min_safe_sections
+from repro.invariants import RingSnapshot, check_containment
+from repro.verme import VermeNode, min_safe_sections
 
 
 def build_ring(num_nodes=128, num_sections=None, seed=1):
@@ -54,7 +55,7 @@ def main():
 
     # The containment invariant, checked live: no routing entry is a
     # same-type node from a different section.
-    violations = audit_overlay(nodes)
+    violations = check_containment(RingSnapshot.capture(nodes, sim.now))
     print(f"Containment invariant violations in routing state: {len(violations)}")
 
     # Attach the Fast-VerDi DHT and run a cross-type put/get.

@@ -19,15 +19,7 @@ from .chord import (
     instant_bootstrap,
 )
 from .crypto import CertificateAuthority, KeyPair, NodeCertificate
-from .faults import (
-    FailureDetectorStats,
-    FaultPlan,
-    GrayFailure,
-    LinkFault,
-    Outage,
-    OutageScript,
-    Partition,
-)
+from .faults import FailureDetectorStats, FaultPlan, Partition
 from .dht import (
     CompromiseVerDiNode,
     DHashNode,
@@ -40,12 +32,11 @@ from .ids import IdSpace, NodeType, VermeIdLayout
 from .net import ByteAccounting, Network, NodeAddress
 from .overlay import StaticOverlay, VermeStaticOverlay
 from .sim import RngRegistry, Simulator
-from .verme import VermeNode, audit_overlay
+from .verme import VermeNode
 from .worm import (
     WormParams,
     WormScenarioConfig,
     WormSimulation,
-    run_all_scenarios,
     run_scenario,
 )
 
@@ -62,10 +53,8 @@ __all__ = [
     "FailureDetectorStats",
     "FastVerDiNode",
     "FaultPlan",
-    "GrayFailure",
     "IdSpace",
     "KeyPair",
-    "LinkFault",
     "LookupPurpose",
     "LookupResult",
     "LookupStyle",
@@ -76,8 +65,6 @@ __all__ = [
     "NodeInfo",
     "NodeType",
     "OpResult",
-    "Outage",
-    "OutageScript",
     "OverlayConfig",
     "Partition",
     "Population",
@@ -91,8 +78,6 @@ __all__ = [
     "WormParams",
     "WormScenarioConfig",
     "WormSimulation",
-    "audit_overlay",
     "instant_bootstrap",
-    "run_all_scenarios",
     "run_scenario",
 ]

@@ -34,7 +34,7 @@ def write_series_csv(
     path: str | Path, series: Dict[str, List[Tuple[float, float]]]
 ) -> Path:
     """Write named (time, value) series on a shared grid — the Fig. 8
-    curve format produced by ``averaged_curve_series``."""
+    curve format produced by ``fig8_worm_propagation.curve_series``."""
     path = Path(path)
     if not series:
         raise ValueError("nothing to export")

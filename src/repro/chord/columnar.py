@@ -157,11 +157,8 @@ from .state import NodeInfo
 #: What this engine does not do (feature -> wording), each refusal raised
 #: from here; the object engine does it all (docs/architecture.md).
 UNSUPPORTED = {
-    "contended uplinks": "contended access uplinks (Network contended_uplinks)",
-    "message loss": "message loss (a Network loss_rate)",
-    "fault plans": "fault plans and outage scripts (repro.faults)",
+    "fault plans": "fault plans (repro.faults partitions)",
     "rpc retransmits": "rpc retransmits (OverlayConfig.rpc_max_retransmits)",
-    "iterative lookups": "iterative lookups (LookupStyle.ITERATIVE)",
     "node handles": "node objects for a driver to crash and join: non-exponential "
     "or scripted churn, the interleaving stress harness (no node factory)",
     "trace spans": "trace spans: rpc, lookup and DHT spans, cause-tagged drops",
@@ -372,8 +369,6 @@ class ColumnarEngine:
         layout: Optional[VermeIdLayout] = None,
     ) -> None:
         for feature, asked in (
-            ("contended uplinks", network.contended_uplinks),
-            ("message loss", network.loss_rate),
             ("fault plans", network.fault_plan is not None),
             ("rpc retransmits", config.rpc_max_retransmits),
             ("trace spans", OBS.trace is not None),
@@ -700,8 +695,6 @@ class ColumnarEngine:
     ) -> None:
         """Mirrors LookupWorkload.start (aggregate Poisson process, or
         the supplied ``repro.workload`` generator's keys and rates)."""
-        if style is LookupStyle.ITERATIVE:
-            raise unsupported("iterative lookups")
         self._wl_rng = rng
         self._wl_style = style
         self._wl_interval = mean_interval_s

@@ -38,7 +38,7 @@ from ..crypto.certificates import CertificateAuthority
 from ..ids.assignment import NodeType
 from ..net.addressing import NodeAddress
 from ..sim import RngRegistry
-from .columnar import _K_CB, ColumnarEngine, unsupported
+from .columnar import _K_CB, ColumnarEngine
 from .lookup import LookupPurpose, LookupResult, LookupStyle
 from .rpc import RpcLayer
 from .state import NodeInfo
@@ -173,8 +173,6 @@ class ColumnarNodeAdapter:
         receives the same :class:`LookupResult` the object node builds."""
         if first_hop is not None:
             raise ValueError("adapter lookups do not support first_hop")
-        if style is LookupStyle.ITERATIVE:
-            raise unsupported("iterative lookups")
         engine = self._engine
         if category is None:
             category = "lookup" if purpose is LookupPurpose.DHT else "maintenance"

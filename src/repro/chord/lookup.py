@@ -1,9 +1,7 @@
 """Lookup vocabulary shared by Chord, Verme and the DHT layers.
 
-The paper compares three routing styles (§7.1.2):
+The paper's Fig. 5 compares two routing styles (§7.1.2):
 
-* **iterative** — the initiator drives every hop itself (disallowed in
-  Verme, §4.5, because intermediate hops would learn addresses);
 * **recursive** — the request is forwarded hop by hop and the reply
   retraces the path in reverse (the only style Verme permits);
 * **transitive** — the forward path is recursive but the final node
@@ -24,7 +22,6 @@ if TYPE_CHECKING:  # state -> rules -> lookup: annotations only
 class LookupStyle(enum.Enum):
     """How a lookup traverses the overlay (see module docstring)."""
 
-    ITERATIVE = "iterative"
     RECURSIVE = "recursive"
     TRANSITIVE = "transitive"
 

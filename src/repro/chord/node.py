@@ -3,8 +3,8 @@
 Implements the full node lifecycle the paper's §4.2 overview describes:
 ring creation, joining via a lookup of the node's own id, successor
 stabilization (every 30 s in the experiments), finger stabilization
-(every 60 s), failure handling through RPC timeouts, and the three
-lookup styles (iterative / recursive / transitive).
+(every 60 s), failure handling through RPC timeouts, and the two
+lookup styles (recursive / transitive).
 
 The routing engine is shared with :class:`repro.verme.node.VermeNode`,
 which only overrides finger-target placement, result packaging
@@ -73,7 +73,6 @@ class _PendingLookup:
     attempts: int = 0
     token: Optional[tuple] = None
     failed_hops: Set[NodeAddress] = field(default_factory=set)
-    iter_hops: int = 0
 
 
 @dataclass(slots=True)
@@ -90,9 +89,7 @@ class ChordNode:
     #: style used for the node's own maintenance lookups (joins, fingers)
     maintenance_style = LookupStyle.RECURSIVE
     #: styles this overlay permits (Verme restricts this set)
-    allowed_styles = frozenset(
-        {LookupStyle.ITERATIVE, LookupStyle.RECURSIVE, LookupStyle.TRANSITIVE}
-    )
+    allowed_styles = frozenset({LookupStyle.RECURSIVE, LookupStyle.TRANSITIVE})
     #: the overlay arguments of :mod:`repro.chord.rules`: ``None`` is
     #: Chord (Verme sets its section bits and type-field mask)
     _shift: Optional[int] = None
@@ -283,7 +280,6 @@ class ChordNode:
         self.rpc.register("ping", self._h_ping)
         self.rpc.register("get_neighbors", self._h_get_neighbors)
         self.rpc.register("notify", self._h_notify)
-        self.rpc.register("route_step", self._h_route_step)
         # The two per-hop forwarding methods dominate message volume and
         # use the context-free fast dispatch (see RpcLayer.register_fast).
         self.rpc.register_fast("route_forward", self._h_route_forward)
@@ -529,7 +525,6 @@ class ChordNode:
         state.attempts = 0
         state.token = None
         state.failed_hops = set()
-        state.iter_hops = 0
         fire_at = sim._now + self.config.lookup_timeout_s
         timer = EventHandle.__new__(EventHandle)
         timer.time = fire_at
@@ -572,11 +567,7 @@ class ChordNode:
         if next_hop is None:
             self._finish(state, None, error="no route")
             return
-        if state.style is LookupStyle.ITERATIVE:
-            state.iter_hops = 0
-            self._iterative_step(state, token, next_hop)
-        else:
-            self._send_forward(state, token, next_hop.address, hops=1)
+        self._send_forward(state, token, next_hop.address, hops=1)
 
     def _complete_local(self, state: _PendingLookup, owner_is_self: bool) -> None:
         """The initiator itself terminates the lookup."""
@@ -727,67 +718,6 @@ class ChordNode:
         sim._next_seq = seq + 1
         heapq.heappush(sim._queue, (sim._now, seq, state.on_done, (result,)))
         sim._live += 1
-
-    # -- iterative lookups -------------------------------------------------------
-
-    def _iterative_step(
-        self, state: _PendingLookup, token: tuple, hop: NodeInfo
-    ) -> None:
-        if token not in self._lookups:
-            return
-        if state.iter_hops >= self.config.max_lookup_hops:
-            self._finish(state, None, error="hop limit")
-            return
-        state.iter_hops += 1
-        self.rpc.call(
-            hop.address,
-            "route_step",
-            {"key": state.key, "purpose": state.purpose},
-            on_reply=lambda res: self._iterative_reply(state, token, hop, res),
-            on_error=lambda err: self._iterative_error(state, token, hop),
-            size=MIN_RPC_BYTES + ID_BYTES,
-            category=state.category,
-            op_tag=state.op_tag,
-        )
-
-    def _iterative_reply(
-        self, state: _PendingLookup, token: tuple, hop: NodeInfo, res: dict
-    ) -> None:
-        if token not in self._lookups:
-            return
-        if res.get("done"):
-            self._finish(state, res.get("entries", []), hops=state.iter_hops)
-        else:
-            nxt: Optional[NodeInfo] = res.get("next")
-            if nxt is None or nxt.address in state.failed_hops:
-                self._finish(state, None, error="no route")
-                return
-            self._iterative_step(state, token, nxt)
-
-    def _iterative_error(
-        self, state: _PendingLookup, token: tuple, hop: NodeInfo
-    ) -> None:
-        if token not in self._lookups:
-            return
-        state.failed_hops.add(hop.address)
-        self._neighbor_dead(hop)
-        self._retry(state)
-
-    def _h_route_step(self, params: dict, ctx: RpcContext) -> None:
-        key = params["key"]
-        purpose = params["purpose"]
-        done, owner_is_self, next_hop = self._route_next(key, _NO_EXCLUDE)
-        if done:
-            entries = self._entries_for_key(key, purpose, owner_is_self)
-            ctx.respond(
-                {"done": True, "entries": entries},
-                size=MIN_RPC_BYTES + len(entries) * entry_bytes(),
-            )
-        else:
-            ctx.respond(
-                {"done": False, "next": next_hop},
-                size=MIN_RPC_BYTES + entry_bytes(),
-            )
 
     # -- recursive / transitive forwarding ------------------------------------------
 

@@ -14,28 +14,25 @@ from .dht_ops import (
     DhtCellResult,
     DhtExperimentConfig,
     run_dht_cell,
-    run_dht_experiment,
 )
 from .fig5_lookup_latency import SYSTEMS as FIG5_SYSTEMS
 from .fig5_lookup_latency import (
     Fig5Config,
     average_fig5_rows,
     run_cell,
-    run_fig5,
 )
 from .fig8_worm_propagation import (
     DEFAULT_HORIZONS,
     Fig8Config,
-    averaged_curve_series,
     curve_series,
-    run_fig8,
     run_fig8_cell,
-    run_fig8_scenario,
     summarise_fig8_runs,
 )
 from .parallel import (
+    fig8_curves,
     map_cells,
     run_ablations_parallel,
+    run_dht_parallel,
     run_fig5_parallel,
     run_fig8_cells,
 )
@@ -65,20 +62,17 @@ __all__ = [
     "ResilienceRow",
     "VermeNodeFactory",
     "average_fig5_rows",
-    "averaged_curve_series",
     "build_ring",
     "curve_series",
+    "fig8_curves",
     "map_cells",
     "run_ablations_parallel",
     "run_cell",
     "run_dht_cell",
-    "run_dht_experiment",
-    "run_fig5",
+    "run_dht_parallel",
     "run_fig5_parallel",
-    "run_fig8",
     "run_fig8_cell",
     "run_fig8_cells",
-    "run_fig8_scenario",
     "run_fragment_placement",
     "run_load_comparison",
     "run_multitype_containment",

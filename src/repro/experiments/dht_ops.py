@@ -184,12 +184,6 @@ def run_dht_cell_instrumented(
     return DhtCellResult(system, get_stats, put_stats), events
 
 
-def run_dht_experiment(
-    config: DhtExperimentConfig, systems: Sequence[str] = tuple(DHT_SYSTEMS)
-) -> List[DhtCellResult]:
-    return [run_dht_cell(config, system) for system in systems]
-
-
 def rows_for_figure(results: Sequence[DhtCellResult]) -> List[DhtOpRow]:
     rows: List[DhtOpRow] = []
     for res in results:

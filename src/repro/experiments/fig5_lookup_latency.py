@@ -19,7 +19,7 @@ Defaults are scaled down so the driver runs in seconds; pass
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..analysis.stats import LookupStats
 from ..chord.config import OverlayConfig
@@ -185,24 +185,6 @@ def run_cell_instrumented(
                     stats.goodput_per_s(t1, config.duration_s)
                 )
     return row, events
-
-
-def run_fig5(
-    config: Fig5Config,
-    systems: Sequence[str] = SYSTEMS,
-    lifetimes: Optional[Sequence[float]] = None,
-) -> List[Fig5Row]:
-    """The full grid, averaging ``config.runs`` repetitions per cell."""
-    lifetimes = list(lifetimes) if lifetimes is not None else list(config.mean_lifetimes_s)
-    rows: List[Fig5Row] = []
-    for system in systems:
-        for lifetime in lifetimes:
-            cells = [
-                run_cell(config, system, lifetime, run_index=r)
-                for r in range(config.runs)
-            ]
-            rows.append(average_fig5_rows(cells))
-    return rows
 
 
 def average_fig5_rows(cells: List[Fig5Row]) -> Fig5Row:

@@ -17,16 +17,11 @@ infect half the vulnerable population.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.curves import average_curves, log_time_grid
 from ..worm.model import InfectionCurve
-from ..worm.scenarios import (
-    SCENARIOS,
-    WormRunResult,
-    WormScenarioConfig,
-    run_scenario,
-)
+from ..worm.scenarios import WormRunResult, WormScenarioConfig, run_scenario
 from .records import Fig8Row
 
 #: Time horizons per scenario: generous multiples of the expected
@@ -84,30 +79,14 @@ def summarise_fig8_runs(scenario: str, results: List[WormRunResult]) -> Fig8Row:
     )
 
 
-def run_fig8_scenario(
-    config: Fig8Config, scenario: str
-) -> Tuple[Fig8Row, List[InfectionCurve]]:
-    """All runs of one scenario, summarised into a row + raw curves."""
-    results = [
-        run_fig8_cell(config, scenario, run_index)
-        for run_index in range(config.runs)
-    ]
-    return summarise_fig8_runs(scenario, results), [r.curve for r in results]
-
-
-def run_fig8(
-    config: Fig8Config, scenarios: Sequence[str] = SCENARIOS
-) -> List[Fig8Row]:
-    return [run_fig8_scenario(config, s)[0] for s in scenarios]
-
-
 def curve_series(
     curves_by_scenario: Dict[str, List[InfectionCurve]],
     horizons: Optional[Dict[str, float]] = None,
     grid_points: int = 50,
 ) -> Dict[str, List[Tuple[float, float]]]:
-    """Resample already-computed curves onto the Fig. 8 log-time grid
-    (so runners that hold raw results don't re-run the scenarios)."""
+    """The Fig. 8 plot data: averaged infected-count series on a
+    logarithmic time grid, one series per scenario, resampled from
+    already-computed curves (see ``parallel.fig8_curves``)."""
     horizons = horizons or DEFAULT_HORIZONS
     t_max = max(horizons.get(s, 300.0) for s in curves_by_scenario)
     grid = log_time_grid(0.1, t_max, grid_points)
@@ -115,21 +94,6 @@ def curve_series(
         scenario: average_curves(curves, grid)
         for scenario, curves in curves_by_scenario.items()
     }
-
-
-def averaged_curve_series(
-    config: Fig8Config,
-    scenarios: Sequence[str] = SCENARIOS,
-    grid_points: int = 50,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """The actual Fig. 8 plot data: averaged infected-count series on a
-    logarithmic time grid, one series per scenario."""
-    curves_by_scenario = {
-        scenario: run_fig8_scenario(config, scenario)[1] for scenario in scenarios
-    }
-    return curve_series(
-        curves_by_scenario, config.horizons or DEFAULT_HORIZONS, grid_points
-    )
 
 
 def _mean_or_none(values: List[Optional[float]]) -> Optional[float]:

@@ -15,8 +15,8 @@ Determinism contract:
 * results are collected with ``Pool.map`` (order-preserving) and
   aggregated in the same order the serial loops use;
 * ``workers=None`` or ``workers <= 1`` short-circuits to an in-process
-  loop — no pool, no pickling, exactly the code path the serial
-  drivers run.
+  loop — no pool, no pickling — which is the serial driver of every
+  figure.
 
 Metrics collection (``--metrics``) rides the same contract: when the
 caller has ``repro.obs`` metrics enabled, every cell — serial or pooled
@@ -175,9 +175,8 @@ def run_fig5_parallel(
     lifetimes: Optional[Sequence[float]] = None,
     workers: Optional[int] = None,
 ) -> List[Fig5Row]:
-    """Drop-in parallel ``run_fig5``: the (system, lifetime, run) grid
-    fanned out cell-wise, averaged per (system, lifetime) in serial
-    order."""
+    """The Fig. 5 driver: the (system, lifetime, run) grid fanned out
+    cell-wise, averaged per (system, lifetime) in grid order."""
     lifetimes = (
         list(lifetimes) if lifetimes is not None else list(config.mean_lifetimes_s)
     )
@@ -205,8 +204,8 @@ def run_dht_parallel(
     systems: Sequence[str] = tuple(DHT_SYSTEMS),
     workers: Optional[int] = None,
 ) -> List[DhtCellResult]:
-    """Drop-in parallel ``run_dht_experiment``: one cell per system,
-    results in system order."""
+    """The Fig. 6/7 driver: one cell per system, results in system
+    order."""
     cells: List[Cell] = [(run_dht_cell, (config, system)) for system in systems]
     return map_cells(cells, workers)
 

@@ -22,13 +22,14 @@ Reported per system:
   suspected peers, mean suspicion duration) and the partition's
   cause-tagged drop count from the network.
 
-Everything is deterministic from ``ResilienceConfig.seed``: the fault
-plan, workload, ids and jitter all draw from derived streams.
+Everything is deterministic from ``ResilienceConfig.seed``: the
+workload, ids and jitter all draw from derived streams, and the fault
+plan draws nothing.  A window with no samples raises instead of
+reporting NaN.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -112,26 +113,35 @@ class ResilienceConfig:
     def minority_hosts(self) -> range:
         return range(int(self.num_nodes * self.partition_fraction))
 
-    def fault_plan(self, seed: int) -> FaultPlan:
+    def fault_plan(self) -> FaultPlan:
         minority = frozenset(self.minority_hosts())
         majority = frozenset(range(self.num_nodes)) - minority
-        plan = FaultPlan(seed)
-        plan.add_partition(
+        return FaultPlan().add_partition(
             Partition(
                 (minority, majority),
                 self.partition_start_s,
                 self.partition_heal_s,
             )
         )
-        return plan
+
+
+def _window(
+    series: Sequence[Tuple[float, float]], start: float, end: float, metric: str
+) -> List[float]:
+    """The values of ``series`` sampled in ``[start, end)``; raises when
+    there are none, so ``metric`` is never reported as NaN."""
+    window = [v for t, v in series if start <= t < end]
+    if not window:
+        raise ValueError(
+            f"resilience {metric}: no samples in the window [{start}, {end}) s"
+        )
+    return window
 
 
 def _success_rate(
-    samples: Sequence[Tuple[float, bool]], start: float, end: float
+    samples: Sequence[Tuple[float, bool]], start: float, end: float, metric: str
 ) -> Tuple[float, int]:
-    window = [ok for t, ok in samples if start <= t < end]
-    if not window:
-        return float("nan"), 0
+    window = _window(samples, start, end, metric)
     return sum(window) / len(window), len(window)
 
 
@@ -151,10 +161,10 @@ def _ring_coherence(population) -> float:
 
 
 def _mean_in_window(
-    series: Sequence[Tuple[float, float]], start: float, end: float
+    series: Sequence[Tuple[float, float]], start: float, end: float, metric: str
 ) -> float:
-    window = [v for t, v in series if start <= t < end]
-    return sum(window) / len(window) if window else float("nan")
+    window = _window(series, start, end, metric)
+    return sum(window) / len(window)
 
 
 def _repair_time(
@@ -180,7 +190,7 @@ def run_resilience_cell(
         derive_seed(config.seed, f"resilience:{system}:{run_index}")
     )
     sim = Simulator()
-    plan = config.fault_plan(derive_seed(rngs.root_seed, "faults"))
+    plan = config.fault_plan()
     network = Network(
         sim,
         ConstantLatency(
@@ -234,24 +244,27 @@ def run_resilience_cell(
         sim.run(until=config.duration_s)
 
     pre_rate, pre_n = _success_rate(
-        samples, config.warmup_s, config.partition_start_s
+        samples, config.warmup_s, config.partition_start_s, "pre_success_rate"
     )
     during_rate, during_n = _success_rate(
-        samples, config.partition_start_s, config.partition_heal_s
+        samples,
+        config.partition_start_s,
+        config.partition_heal_s,
+        "partition_success_rate",
     )
     post_rate, post_n = _success_rate(
-        samples, config.partition_heal_s, config.duration_s
+        samples, config.partition_heal_s, config.duration_s, "post_success_rate"
     )
     pre_coherence = _mean_in_window(
-        coherence, config.warmup_s, config.partition_start_s
+        coherence, config.warmup_s, config.partition_start_s, "pre-partition coherence"
     )
     min_coherence = min(
-        (
-            v
-            for t, v in coherence
-            if config.partition_start_s <= t < config.partition_heal_s
-        ),
-        default=float("nan"),
+        _window(
+            coherence,
+            config.partition_start_s,
+            config.partition_heal_s,
+            "min_ring_coherence",
+        )
     )
     detectors = [node.rpc.detector for node in ring.population.nodes]
     recoveries = [r for d in detectors for r in d.recovery_times_s]
@@ -278,10 +291,7 @@ def run_resilience_cell(
         metrics.counter(prefix + ".rpc_timeouts").inc(row.rpc_timeouts)
         metrics.counter(prefix + ".rpc_retransmits").inc(row.rpc_retransmits)
         metrics.counter(prefix + ".partition_drops").inc(row.partition_drops)
-        if not math.isnan(row.min_ring_coherence):
-            metrics.gauge(prefix + ".min_ring_coherence").set(
-                row.min_ring_coherence
-            )
+        metrics.gauge(prefix + ".min_ring_coherence").set(row.min_ring_coherence)
     return row
 
 

@@ -1,37 +1,14 @@
-"""Deterministic fault injection: partitions, degraded links, gray
-failures, scripted outages, and failure-detector statistics."""
+"""Deterministic fault injection: scheduled partitions and
+failure-detector statistics."""
 
 from .detector import FailureDetectorStats, PeerRecord
-from .plan import (
-    CAUSE_GRAY,
-    CAUSE_LINK,
-    CAUSE_PARTITION,
-    DELIVER,
-    FAULT_CAUSES,
-    FaultPlan,
-    FaultPlanStats,
-    GrayFailure,
-    LinkFault,
-    LinkVerdict,
-    Partition,
-)
-from .script import Outage, OutageScript, merge_outage_windows
+from .plan import CAUSE_PARTITION, FaultPlan, FaultPlanStats, Partition
 
 __all__ = [
-    "CAUSE_GRAY",
-    "CAUSE_LINK",
     "CAUSE_PARTITION",
-    "DELIVER",
-    "FAULT_CAUSES",
     "FailureDetectorStats",
     "FaultPlan",
     "FaultPlanStats",
-    "GrayFailure",
-    "LinkFault",
-    "LinkVerdict",
-    "Outage",
-    "OutageScript",
     "Partition",
     "PeerRecord",
-    "merge_outage_windows",
 ]

@@ -6,8 +6,7 @@ contact a node that had failed it chose another neighbor", paper
 observed at one node: calls issued, retransmissions, timeouts, which
 peers are currently suspected, and — when a suspected peer answers
 again — how long the suspicion lasted.  Experiments aggregate these
-across a ring to characterise detector behaviour under partitions and
-gray failures.
+across a ring to characterise detector behaviour under partitions.
 """
 
 from __future__ import annotations

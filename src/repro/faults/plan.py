@@ -1,59 +1,21 @@
-"""Scriptable link- and host-level fault policies.
+"""Scheduled network partitions.
 
 A :class:`FaultPlan` is consulted by :meth:`repro.net.network.Network.send`
-once per message and returns a :class:`LinkVerdict`: deliver (possibly
-with added latency) or drop (with a cause tag the network counts).  A
-plan composes three fault families:
-
-* :class:`Partition` — host groups that cannot reach each other between
-  a scheduled onset and heal time;
-* :class:`LinkFault` — per-link (or per-host-set) drop probability and
-  added latency inside a time window; :meth:`LinkFault.burst` builds the
-  common "total loss burst" special case;
-* :class:`GrayFailure` — a host that stays registered but answers
-  slowly (every message it sends is delayed) and/or silently loses a
-  fraction of its inbound traffic.
-
-Determinism: every probabilistic decision draws from a per-directed-link
-``random.Random`` derived from the plan seed via
-:func:`repro.sim.rng.derive_seed`, so the verdict sequence on one link
-depends only on the traffic that link itself carried — adding faults or
-traffic elsewhere never perturbs it.
+once per message and returns its verdict: ``None`` to deliver, or the
+drop-cause tag the network counts.  A plan holds :class:`Partition`
+windows — host groups that cannot reach each other between a scheduled
+onset and heal time.  Verdicts depend only on the hosts and the clock,
+so a plan draws no random numbers.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..sim.rng import derive_seed
-
-#: Drop-cause tags a plan can attach to a verdict (the network counts
-#: drops under these names, next to its own "loss"/"dead-destination").
+#: The drop-cause tag a plan attaches to a verdict (the network counts
+#: drops under it, next to its own "dead-destination").
 CAUSE_PARTITION = "partition"
-CAUSE_LINK = "link-fault"
-CAUSE_GRAY = "gray-failure"
-
-FAULT_CAUSES = (CAUSE_PARTITION, CAUSE_LINK, CAUSE_GRAY)
-
-
-@dataclass(frozen=True)
-class LinkVerdict:
-    """The plan's decision for one message."""
-
-    deliver: bool
-    extra_latency_s: float = 0.0
-    cause: Optional[str] = None
-
-
-#: Shared "no fault applies" verdict (avoids one allocation per message).
-DELIVER = LinkVerdict(True)
-
-
-def _hosts(hosts: Optional[Iterable[int]]) -> Optional[FrozenSet[int]]:
-    return None if hosts is None else frozenset(hosts)
 
 
 @dataclass(frozen=True)
@@ -104,107 +66,11 @@ class Partition:
         return b is not None and a != b
 
 
-@dataclass(frozen=True)
-class LinkFault:
-    """Degrades matching links during ``[start_s, end_s)``.
-
-    ``src_hosts``/``dst_hosts`` of ``None`` match every host; with
-    ``symmetric=True`` the reverse direction matches too.  Asymmetric
-    links (A reaches B but not back) are the ``symmetric=False``
-    default with distinct host sets.
-    """
-
-    src_hosts: Optional[FrozenSet[int]] = None
-    dst_hosts: Optional[FrozenSet[int]] = None
-    drop_prob: float = 0.0
-    extra_latency_s: float = 0.0
-    start_s: float = 0.0
-    end_s: float = math.inf
-    symmetric: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop_prob must be a probability")
-        if self.extra_latency_s < 0:
-            raise ValueError("extra latency must be non-negative")
-        if self.end_s <= self.start_s:
-            raise ValueError("fault window must have positive duration")
-
-    @staticmethod
-    def between(
-        src_hosts: Optional[Iterable[int]],
-        dst_hosts: Optional[Iterable[int]],
-        **kwargs,
-    ) -> "LinkFault":
-        return LinkFault(_hosts(src_hosts), _hosts(dst_hosts), **kwargs)
-
-    @staticmethod
-    def burst(
-        start_s: float,
-        duration_s: float,
-        drop_prob: float = 1.0,
-        hosts: Optional[Iterable[int]] = None,
-    ) -> "LinkFault":
-        """A loss burst: all (or the given hosts') traffic drops with
-        ``drop_prob`` for ``duration_s`` seconds."""
-        members = _hosts(hosts)
-        return LinkFault(
-            src_hosts=members,
-            dst_hosts=members,
-            drop_prob=drop_prob,
-            start_s=start_s,
-            end_s=start_s + duration_s,
-            symmetric=True,
-        )
-
-    def _matches_directed(self, src_host: int, dst_host: int) -> bool:
-        if self.src_hosts is not None and src_host not in self.src_hosts:
-            return False
-        return self.dst_hosts is None or dst_host in self.dst_hosts
-
-    def matches(self, src_host: int, dst_host: int, now: float) -> bool:
-        if not self.start_s <= now < self.end_s:
-            return False
-        if self._matches_directed(src_host, dst_host):
-            return True
-        return self.symmetric and self._matches_directed(dst_host, src_host)
-
-
-@dataclass(frozen=True)
-class GrayFailure:
-    """A slow-but-alive host during ``[start_s, end_s)``.
-
-    The host stays registered on the network (it is *not* crashed, so
-    neighbours cannot distinguish it from a healthy peer except through
-    timeouts): every message it sends is delayed by ``response_delay_s``
-    and a fraction ``inbound_drop_prob`` of messages addressed to it
-    silently vanishes.
-    """
-
-    host_slot: int
-    start_s: float = 0.0
-    end_s: float = math.inf
-    inbound_drop_prob: float = 0.0
-    response_delay_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.inbound_drop_prob <= 1.0:
-            raise ValueError("inbound_drop_prob must be a probability")
-        if self.response_delay_s < 0:
-            raise ValueError("response delay must be non-negative")
-        if self.end_s <= self.start_s:
-            raise ValueError("gray-failure window must have positive duration")
-
-    def active(self, now: float) -> bool:
-        return self.start_s <= now < self.end_s
-
-
 @dataclass
 class FaultPlanStats:
     """What the plan actually did (observability for experiments)."""
 
     drops_by_cause: Dict[str, int] = field(default_factory=dict)
-    delayed_messages: int = 0
 
     @property
     def total_drops(self) -> int:
@@ -215,75 +81,22 @@ class FaultPlanStats:
 
 
 class FaultPlan:
-    """A deterministic, scriptable fault schedule for one network."""
+    """A deterministic partition schedule for one network."""
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
+    def __init__(self) -> None:
         self.partitions: List[Partition] = []
-        self.link_faults: List[LinkFault] = []
-        self.gray_failures: List[GrayFailure] = []
         self.stats = FaultPlanStats()
-        self._gray_by_host: Dict[int, List[GrayFailure]] = {}
-        self._link_rngs: Dict[Tuple[int, int], random.Random] = {}
-
-    # -- construction (chainable) --------------------------------------------
 
     def add_partition(self, partition: Partition) -> "FaultPlan":
+        """Schedule ``partition``; returns the plan (chainable)."""
         self.partitions.append(partition)
         return self
 
-    def add_link_fault(self, fault: LinkFault) -> "FaultPlan":
-        self.link_faults.append(fault)
-        return self
-
-    def add_gray_failure(self, gray: GrayFailure) -> "FaultPlan":
-        self.gray_failures.append(gray)
-        self._gray_by_host.setdefault(gray.host_slot, []).append(gray)
-        return self
-
-    # -- evaluation -----------------------------------------------------------
-
-    def _link_rng(self, src_host: int, dst_host: int) -> random.Random:
-        key = (src_host, dst_host)
-        rng = self._link_rngs.get(key)
-        if rng is None:
-            rng = random.Random(
-                derive_seed(self.seed, f"link:{src_host}->{dst_host}")
-            )
-            self._link_rngs[key] = rng
-        return rng
-
-    def verdict(self, src_host: int, dst_host: int, now: float) -> LinkVerdict:
-        """Decide one message's fate; called by ``Network.send``."""
+    def verdict(self, src_host: int, dst_host: int, now: float) -> Optional[str]:
+        """The drop cause for one message, or ``None`` to deliver;
+        called by ``Network.send``."""
         for partition in self.partitions:
             if partition.severs(src_host, dst_host, now):
                 self.stats._count_drop(CAUSE_PARTITION)
-                return LinkVerdict(False, cause=CAUSE_PARTITION)
-        extra = 0.0
-        for fault in self.link_faults:
-            if not fault.matches(src_host, dst_host, now):
-                continue
-            if fault.drop_prob and (
-                fault.drop_prob >= 1.0
-                or self._link_rng(src_host, dst_host).random() < fault.drop_prob
-            ):
-                self.stats._count_drop(CAUSE_LINK)
-                return LinkVerdict(False, cause=CAUSE_LINK)
-            extra += fault.extra_latency_s
-        for gray in self._gray_by_host.get(dst_host, ()):
-            if not gray.active(now):
-                continue
-            if gray.inbound_drop_prob and (
-                gray.inbound_drop_prob >= 1.0
-                or self._link_rng(src_host, dst_host).random()
-                < gray.inbound_drop_prob
-            ):
-                self.stats._count_drop(CAUSE_GRAY)
-                return LinkVerdict(False, cause=CAUSE_GRAY)
-        for gray in self._gray_by_host.get(src_host, ()):
-            if gray.active(now):
-                extra += gray.response_delay_s
-        if extra:
-            self.stats.delayed_messages += 1
-            return LinkVerdict(True, extra_latency_s=extra)
-        return DELIVER
+                return CAUSE_PARTITION
+        return None

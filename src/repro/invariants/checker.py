@@ -8,12 +8,10 @@ experiment driver that supports checking calls :meth:`watch` once per
 cell, and the checker then:
 
 * samples the ring every ``interval_s`` of *simulated* time;
-* samples just after every fault-window edge (partition start/heal,
-  link-fault and gray-failure start/end) from the cell's
+* samples just after every partition start and heal of the cell's
   :class:`~repro.faults.FaultPlan`;
 * re-samples on churn events (node killed / replacement joined,
-  reported by :class:`~repro.chord.ring.ChurnDriver` and
-  :class:`~repro.faults.script.OutageScript` via
+  reported by :class:`~repro.chord.ring.ChurnDriver` via
   :meth:`note_membership`), rate-limited to one extra sample per
   interval;
 * runs a **final** evaluation at the cell's end time, where the
@@ -166,14 +164,8 @@ class InvariantChecker:
     def _fault_edges(fault_plan) -> List[float]:
         if fault_plan is None:
             return []
-        edges: List[float] = []
-        for partition in getattr(fault_plan, "partitions", ()):
-            edges.extend((partition.start_s, partition.heal_s))
-        for fault in getattr(fault_plan, "link_faults", ()):
-            edges.extend((fault.start_s, fault.end_s))
-        for gray in getattr(fault_plan, "gray_failures", ()):
-            edges.extend((gray.start_s, gray.end_s))
-        return sorted({e for e in edges if e != float("inf")})
+        edges = {e for p in fault_plan.partitions for e in (p.start_s, p.heal_s)}
+        return sorted(e for e in edges if e != float("inf"))
 
     def note_membership(self, sim) -> None:
         """Churn hook (node crashed or joined): re-sample the watched

@@ -4,25 +4,22 @@
 bandwidth) model.  Sending is fire-and-forget: the message is delivered
 to the destination's handler after the propagation (plus serialisation)
 delay, silently dropped if the destination has left the overlay by
-then, or dropped up-front by the optional loss model or by the fault
-plan (partitions, degraded links, gray failures — see
+then, or dropped up-front by the optional fault plan (partitions — see
 :mod:`repro.faults`).  Request/response matching, timeouts and retries
 live one layer up, in :mod:`repro.chord.rpc`.
 
-Every undelivered message is counted under a *cause* tag so that loss
-tests and resilience experiments can tell uniform loss, messages to
-dead incarnations, and injected faults apart:
+Every undelivered message is counted under a *cause* tag so that
+resilience experiments can tell messages to dead incarnations and
+injected faults apart:
 
-* ``"loss"`` — the Bernoulli loss model;
 * ``"dead-destination"`` — no endpoint registered at delivery time;
-* fault causes (``"partition"``, ``"link-fault"``, ``"gray-failure"``)
-  — whatever the :class:`~repro.faults.FaultPlan` reports.
+* ``"partition"`` — whatever the :class:`~repro.faults.FaultPlan`
+  reports.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..faults.plan import FaultPlan
@@ -35,8 +32,7 @@ from .message import HEADER_BYTES, Message, _msg_counter
 
 Handler = Callable[[Message], None]
 
-#: Cause tags for the network's own drop decisions.
-CAUSE_LOSS = "loss"
+#: Cause tag for the network's own drop decision.
 CAUSE_DEAD = "dead-destination"
 
 
@@ -49,30 +45,14 @@ class Network:
         latency_model: LatencyModel,
         bandwidth_model: Optional[BandwidthModel] = None,
         accounting: Optional[ByteAccounting] = None,
-        loss_rate: float = 0.0,
-        loss_rng: Optional[random.Random] = None,
-        contended_uplinks: bool = False,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        """``contended_uplinks`` serialises a host's outgoing transfers
-        on its uplink (back-to-back departures) instead of letting
-        overlapping sends proceed independently — a higher-fidelity
-        model for hosts pushing several bulk transfers at once.  It
-        requires a bandwidth model.  ``fault_plan`` is consulted per
-        message and may drop it or add latency."""
-        if loss_rate and loss_rng is None:
-            raise ValueError("a loss_rate needs a loss_rng for determinism")
-        if contended_uplinks and bandwidth_model is None:
-            raise ValueError("contended uplinks require a bandwidth model")
+        """``fault_plan`` is consulted per message and may drop it."""
         self.sim = sim
         self.latency_model = latency_model  # property: also primes row caches
         self.bandwidth_model = bandwidth_model
         self.accounting = accounting if accounting is not None else ByteAccounting()
-        self.loss_rate = loss_rate
-        self._loss_rng = loss_rng
-        self.contended_uplinks = contended_uplinks
         self.fault_plan = fault_plan
-        self._uplink_free_at: Dict[int, float] = {}
         self._endpoints: Dict[NodeAddress, Handler] = {}
         self.drops_by_cause: Dict[str, int] = {}
         # Send fast path: matrix models expose a row view of plain
@@ -129,10 +109,8 @@ class Network:
 
     @property
     def fault_drops(self) -> int:
-        """Messages the fault plan killed (everything but loss/dead)."""
-        return self.dropped_messages - self.dropped(CAUSE_LOSS) - self.dropped(
-            CAUSE_DEAD
-        )
+        """Messages the fault plan killed (everything but dead)."""
+        return self.dropped_messages - self.dropped(CAUSE_DEAD)
 
     def dropped(self, cause: str) -> int:
         return self.drops_by_cause.get(cause, 0)
@@ -176,16 +154,11 @@ class Network:
         acct.messages_by_category[category] += 1
         if op_tag is not None:
             acct.bytes_by_op[op_tag] += size
-        if self.loss_rate and self._loss_rng.random() < self.loss_rate:
-            self._drop(CAUSE_LOSS)
-            return
-        extra_latency = 0.0
         if self.fault_plan is not None:
-            verdict = self.fault_plan.verdict(src_slot, dst_slot, self.sim.now)
-            if not verdict.deliver:
-                self._drop(verdict.cause or "fault")
+            cause = self.fault_plan.verdict(src_slot, dst_slot, self.sim.now)
+            if cause is not None:
+                self._drop(cause)
                 return
-            extra_latency = verdict.extra_latency_s
         rows = self._lat_rows
         if rows is not None:
             # Rows are cached after a host's first send, so the hit path
@@ -198,8 +171,6 @@ class Network:
                 ]
         else:
             latency = self.latency_model.latency(src_slot, dst_slot)
-        if extra_latency:
-            latency += extra_latency
         # The Message is only materialised once the drop checks have
         # passed (a dropped send costs no allocation), and its __init__
         # is inlined — one instance per packet makes this the fabric's
@@ -230,15 +201,6 @@ class Network:
             bandwidth = bandwidth_row(src_slot)[dst_slot]
         else:
             bandwidth = bandwidth_model.bandwidth(src_slot, dst_slot)
-        if self.contended_uplinks and bandwidth:
-            # Serialise on the sender's uplink: this transfer starts
-            # when the previous one has fully departed.
-            now = self.sim.now
-            start = max(now, self._uplink_free_at.get(src_slot, now))
-            departure = start + size / bandwidth
-            self._uplink_free_at[src_slot] = departure
-            self.sim.call_after(departure - now + latency, self._deliver, msg)
-            return
         if bandwidth:
             self.sim.call_after(latency + size / bandwidth, self._deliver, msg)
         else:

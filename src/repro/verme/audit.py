@@ -1,66 +1,26 @@
-"""Containment auditing: does the live overlay leak same-type links?
+"""Containment sizing: how many sections keep neighbour lists safe?
 
 Verme's guarantee is conditional (paper §4.3): successor lists must not
 span more than two sections, which holds "with high probability" when
 sections are sized against the successor-list length.  This module
-makes the condition checkable and provides the sizing rule an operator
-should apply when picking the number of sections.
+provides the sizing rule an operator should apply when picking the
+number of sections.
 
-The invariant itself has exactly one implementation —
+The invariant itself is
 :func:`repro.invariants.predicates.containment_violations`, shared with
-the online checker (``runner.py ... --invariants``) — and
-:func:`audit_node_state` / :func:`audit_overlay` are kept as the thin
-public wrappers historical callers use.  See ``docs/correctness.md``
-for how the audit composes with the rest of the invariant suite.
+the online checker (``runner.py ... --invariants``); see
+``docs/correctness.md`` for how it composes with the rest of the
+invariant suite.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
-
-from ..ids.sections import VermeIdLayout
-from ..invariants.predicates import (
-    ContainmentViolation,
-    containment_violations,
-)
 
 __all__ = [
-    "ContainmentViolation",
-    "audit_node_state",
-    "audit_overlay",
     "max_safe_neighbor_list",
     "min_safe_sections",
 ]
-
-
-def audit_node_state(
-    layout: VermeIdLayout,
-    node_id: int,
-    successors: Iterable[int],
-    predecessors: Iterable[int],
-    fingers: Iterable[int],
-) -> List[ContainmentViolation]:
-    """Violations in one node's routing state (ids only)."""
-    return containment_violations(
-        layout, node_id, successors, predecessors, fingers
-    )
-
-
-def audit_overlay(nodes: Sequence) -> List[ContainmentViolation]:
-    """Violations across a population of live :class:`VermeNode`s."""
-    violations: List[ContainmentViolation] = []
-    for node in nodes:
-        violations.extend(
-            containment_violations(
-                node.layout,
-                node.node_id,
-                (e.node_id for e in node.successors),
-                (e.node_id for e in node.predecessors),
-                (e.node_id for e in node.fingers.entries()),
-            )
-        )
-    return violations
 
 
 def max_safe_neighbor_list(

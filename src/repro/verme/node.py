@@ -112,12 +112,6 @@ class VermeNode(ChordNode):
 
     # -- lookup security (§4.5) -----------------------------------------------------
 
-    def _h_route_step(self, params: dict, ctx) -> None:
-        """Refuse to serve iterative steps: each one would hand the
-        requester a routing-table address, which is exactly the
-        crawling primitive §4.5 removes."""
-        ctx.fail("iterative lookups are disabled in verme")
-
     def _attach_credentials(self, params: dict) -> None:
         params["cert"] = self.cert
 

@@ -3,14 +3,13 @@
 The paper evaluates under one stationary Poisson process with uniform
 keys (§7.1.1); production DHT traffic is neither stationary nor
 uniform.  This package supplies the missing models — Zipf / uniform /
-trace key popularity, constant / spike / ramp / diurnal arrival shapes,
-open- and closed-loop clients — all deterministic per seed and driven
+trace key popularity, constant / spike / ramp / diurnal arrival shapes
+for an open-loop client population — all deterministic per seed and driven
 identically by the object-graph and columnar live engines.  See
 ``docs/serving.md`` for the full reference.
 """
 
 from .arrivals import ConstantShape, DiurnalShape, RampShape, SpikeShape
-from .clients import ClosedLoopWorkload
 from .generator import (
     OVERLOADS,
     RAMP_FACTOR,
@@ -28,7 +27,6 @@ __all__ = [
     "DiurnalShape",
     "RampShape",
     "SpikeShape",
-    "ClosedLoopWorkload",
     "OVERLOADS",
     "RAMP_FACTOR",
     "SPIKE_FACTOR",

@@ -16,7 +16,6 @@ from .scenarios import (
     WormScenarioConfig,
     build_chord_population,
     build_verme_population,
-    run_all_scenarios,
     run_scenario,
 )
 from .simulation import WormSimulation
@@ -39,7 +38,6 @@ __all__ = [
     "build_chord_population",
     "build_verme_population",
     "chord_knowledge",
-    "run_all_scenarios",
     "run_scenario",
     "verme_knowledge",
 ]

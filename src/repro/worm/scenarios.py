@@ -370,14 +370,3 @@ def _publish_run_metrics(metrics, worm, result: WormRunResult, harvester) -> Non
             harvester.addresses_harvested
         )
 
-
-def run_all_scenarios(
-    config: WormScenarioConfig,
-    horizons: Optional[Dict[str, float]] = None,
-) -> Dict[str, WormRunResult]:
-    """Run every Fig. 8 scenario with per-scenario time horizons."""
-    horizons = horizons or {}
-    return {
-        name: run_scenario(name, config, until=horizons.get(name))
-        for name in SCENARIOS
-    }

@@ -54,7 +54,6 @@ def build_chord_ring(
     seed: int = 1,
     num_successors: int = 4,
     one_way_latency: float = 0.02,
-    loss_rate: float = 0.0,
     bits: int = SMALL_BITS,
 ) -> ChordRing:
     space = IdSpace(bits)
@@ -64,8 +63,6 @@ def build_chord_ring(
     network = Network(
         sim,
         ConstantLatency(num_hosts=num_nodes, one_way=one_way_latency),
-        loss_rate=loss_rate,
-        loss_rng=random.Random(seed + 999) if loss_rate else None,
     )
     used = set()
     nodes = []

@@ -1,4 +1,5 @@
-"""Tests for the ablation drivers, the load analysis and the audit."""
+"""Tests for the ablation drivers, the load analysis and the
+containment audit."""
 
 import random
 
@@ -13,14 +14,10 @@ from repro.experiments.ablations import (
     run_replication_availability,
 )
 from repro.ids import IdSpace, VermeIdLayout
+from repro.invariants import RingSnapshot, check_containment, containment_violations
 from repro.net import NodeAddress
 from repro.overlay import NaiveFingerVermeOverlay, StaticOverlay
-from repro.verme import (
-    audit_node_state,
-    audit_overlay,
-    max_safe_neighbor_list,
-    min_safe_sections,
-)
+from repro.verme import max_safe_neighbor_list, min_safe_sections
 from repro.worm import ENGINES, WormScenarioConfig
 
 from conftest import build_verme_ring
@@ -126,7 +123,7 @@ def test_worm_ablations_match_the_legacy_reference_engine(monkeypatch):
 
 def test_audit_clean_on_well_sized_ring():
     ring = build_verme_ring(num_nodes=96, num_sections=8, seed=3)
-    assert audit_overlay(ring.nodes) == []
+    assert check_containment(RingSnapshot.capture(ring.nodes)) == []
 
 
 def test_audit_detects_undersized_sections():
@@ -134,10 +131,10 @@ def test_audit_detects_undersized_sections():
     ring = build_verme_ring(
         num_nodes=64, num_sections=16, seed=5, num_successors=6, num_predecessors=6
     )
-    violations = audit_overlay(ring.nodes)
+    violations = check_containment(RingSnapshot.capture(ring.nodes))
     assert violations, "undersized sections must be flagged"
     v = violations[0]
-    assert "same type" in str(v)
+    assert "same-type" in str(v)
 
 
 def test_audit_node_state_tables_attributed():
@@ -145,15 +142,15 @@ def test_audit_node_state_tables_attributed():
     layout = VermeIdLayout(space, section_bits=5)
     node = layout.make_id(0, 0, 1)
     foreign_same_type = layout.make_id(1, 0, 1)  # same type, other section
-    out = audit_node_state(layout, node, [foreign_same_type], [], [])
+    out = containment_violations(layout, node, [foreign_same_type], [], [])
     assert len(out) == 1
     assert out[0].table == "successors"
     # Opposite type never violates.
     opposite = layout.make_id(0, 1, 1)
-    assert audit_node_state(layout, node, [opposite], [], []) == []
+    assert containment_violations(layout, node, [opposite], [], []) == []
     # Same section never violates.
     sibling = layout.make_id(0, 0, 2)
-    assert audit_node_state(layout, node, [sibling], [], []) == []
+    assert containment_violations(layout, node, [sibling], [], []) == []
 
 
 def test_sizing_helpers():

@@ -13,9 +13,7 @@ from repro.sim import Simulator
 from conftest import build_chord_ring, run_lookup
 
 
-@pytest.mark.parametrize(
-    "style", [LookupStyle.ITERATIVE, LookupStyle.RECURSIVE, LookupStyle.TRANSITIVE]
-)
+@pytest.mark.parametrize("style", list(LookupStyle))
 def test_lookup_finds_correct_owner_all_styles(style):
     ring = build_chord_ring(num_nodes=32, seed=11)
     rng = random.Random(99)
@@ -207,7 +205,7 @@ def test_disallowed_style_raises(chord_ring):
 
     node.__class__ = Strict
     with pytest.raises(ValueError):
-        node.lookup(1, on_done=lambda r: None, style=LookupStyle.ITERATIVE)
+        node.lookup(1, on_done=lambda r: None, style=LookupStyle.TRANSITIVE)
     node.__class__ = ChordNode
 
 

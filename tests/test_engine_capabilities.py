@@ -15,15 +15,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.stats import LookupStats
 from repro.chord.columnar import UNSUPPORTED
 from repro.chord.config import OverlayConfig
-from repro.chord.lookup import LookupStyle
 from repro.chord.ring import ChurnDriver, ChurnEvent, ScriptedChurn
 from repro.experiments.builders import ENGINES, build_live_ring
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, Partition
 from repro.ids.idspace import IdSpace
-from repro.net.latency import ConstantBandwidth, ConstantLatency
+from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.obs import collecting
 from repro.sim import RngRegistry, Simulator
@@ -38,30 +36,13 @@ def _ring(engine, config=CONFIG, **network):
     return sim, build_live_ring(engine, sim, net, config, NODES, RngRegistry(1))
 
 
-def _contended(engine):
-    return _ring(
-        engine, bandwidth_model=ConstantBandwidth(), contended_uplinks=True
-    )
-
-
-def _loss(engine):
-    return _ring(engine, loss_rate=0.05, loss_rng=random.Random(0))
-
-
 def _faults(engine):
-    return _ring(engine, fault_plan=FaultPlan())
+    partition = Partition.of([range(4), range(4, NODES + 4)], 30.0, 60.0)
+    return _ring(engine, fault_plan=FaultPlan().add_partition(partition))
 
 
 def _retransmits(engine):
     return _ring(engine, config=replace(CONFIG, rpc_max_retransmits=2))
-
-
-def _iterative(engine):
-    sim, ring = _ring(engine)
-    ring.start_workload(
-        random.Random(0), LookupStyle.ITERATIVE, 5.0, LookupStats(), 0.0
-    )
-    return sim, ring
 
 
 def _node_handles(engine):
@@ -89,11 +70,8 @@ def _metered(engine):
 
 #: How a run asks for each row's feature.
 REQUESTS = {
-    "contended uplinks": _contended,
-    "message loss": _loss,
     "fault plans": _faults,
     "rpc retransmits": _retransmits,
-    "iterative lookups": _iterative,
     "node handles": _node_handles,
     "trace spans": _traced,
     "metrics": _metered,
@@ -101,6 +79,9 @@ REQUESTS = {
 
 
 def test_every_table_row_has_a_request():
+    assert list(REQUESTS) == [
+        "fault plans", "rpc retransmits", "node handles", "trace spans", "metrics"
+    ]
     assert set(REQUESTS) == set(UNSUPPORTED)
     assert all(set(table) <= set(UNSUPPORTED) for table in ENGINES.values())
 

@@ -10,7 +10,8 @@ from repro.experiments import (
     Fig8Config,
     run_cell,
     run_dht_cell,
-    run_fig8_scenario,
+    run_fig8_cells,
+    summarise_fig8_runs,
 )
 from repro.experiments.fig8_worm_propagation import DEFAULT_HORIZONS
 from repro.worm import WormScenarioConfig
@@ -133,9 +134,10 @@ def test_fig8_scenario_rows():
         runs=2,
         horizons={"verme": 100.0},
     )
-    row, curves = run_fig8_scenario(cfg, "verme")
+    results = run_fig8_cells(cfg, scenarios=("verme",), workers=1)["verme"]
+    row = summarise_fig8_runs("verme", results)
     assert row.scenario == "verme"
-    assert len(curves) == 2
+    assert len(results) == 2
     assert row.population == 600
     assert row.final_infected < 0.2 * row.vulnerable
     assert row.time_to_50pct_s is None
@@ -145,3 +147,41 @@ def test_fig8_default_horizons_cover_all_scenarios():
     from repro.worm import SCENARIOS
 
     assert set(DEFAULT_HORIZONS) == set(SCENARIOS)
+
+
+# -- resilience refuses empty windows ------------------------------------------
+
+
+def _tiny_resilience(**overrides):
+    from repro.experiments import ResilienceConfig
+
+    base = dict(
+        num_nodes=24,
+        num_sections=4,
+        partition_start_s=90.0,
+        partition_heal_s=150.0,
+        duration_s=240.0,
+        warmup_s=30.0,
+    )
+    base.update(overrides)
+    return ResilienceConfig(**base)
+
+
+def test_resilience_empty_lookup_window_raises():
+    """A partition window too short to catch a lookup has no success
+    rate: the cell raises, naming the metric, instead of printing NaN."""
+    from repro.experiments import run_resilience_cell
+
+    cfg = _tiny_resilience(partition_heal_s=90.001)
+    with pytest.raises(ValueError, match=r"partition_success_rate.*\[90\.0, 90\.001\)"):
+        run_resilience_cell(cfg, "chord")
+
+
+def test_resilience_empty_coherence_window_raises():
+    """A partition that falls between two coherence probes (every
+    ``bucket_s``) has no minimum coherence."""
+    from repro.experiments import run_resilience_cell
+
+    cfg = _tiny_resilience(partition_start_s=95.0, partition_heal_s=110.0)
+    with pytest.raises(ValueError, match=r"min_ring_coherence.*\[95\.0, 110\.0\)"):
+        run_resilience_cell(cfg, "chord")

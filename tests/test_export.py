@@ -57,7 +57,12 @@ def test_write_series_csv_empty(tmp_path):
 
 def test_fig8_series_roundtrip(tmp_path):
     """End-to-end: run a tiny fig8, export, reload."""
-    from repro.experiments import Fig8Config, averaged_curve_series
+    from repro.experiments import (
+        Fig8Config,
+        curve_series,
+        fig8_curves,
+        run_fig8_cells,
+    )
     from repro.worm import WormScenarioConfig
 
     cfg = Fig8Config(
@@ -65,7 +70,8 @@ def test_fig8_series_roundtrip(tmp_path):
         runs=1,
         horizons={"chord": 60.0, "verme": 60.0},
     )
-    series = averaged_curve_series(cfg, scenarios=("chord", "verme"), grid_points=10)
+    results = run_fig8_cells(cfg, scenarios=("chord", "verme"), workers=1)
+    series = curve_series(fig8_curves(results), cfg.horizons, grid_points=10)
     path = write_series_csv(tmp_path / "fig8_series.csv", series)
     with path.open() as fh:
         rows = list(csv.reader(fh))

@@ -1,4 +1,5 @@
-"""Failure injection: message loss, crashes mid-operation, stale state."""
+"""Failure injection: partitioned messages, crashes mid-operation,
+stale state."""
 
 import random
 
@@ -6,41 +7,60 @@ import pytest
 
 from repro.chord import LookupStyle
 from repro.dht import DhtConfig, DHashNode, FastVerDiNode
+from repro.faults import FaultPlan, Partition
 
 from conftest import build_chord_ring, build_verme_ring, run_lookup
 
 
+def cut_off(ring, minority, duration_s):
+    """Sever hosts ``minority`` from the rest of ``ring`` for
+    ``duration_s`` from now; returns the majority's nodes."""
+    hosts = range(len(ring.nodes))
+    ring.network.fault_plan = FaultPlan().add_partition(
+        Partition.of(
+            [minority, set(hosts) - set(minority)],
+            ring.sim.now,
+            ring.sim.now + duration_s,
+        )
+    )
+    return [n for n in ring.nodes if n.address.host_slot not in minority]
+
+
 def test_lookups_survive_moderate_message_loss():
-    ring = build_chord_ring(num_nodes=48, seed=71, loss_rate=0.05)
+    """A few hosts partitioned away: lookups from the rest route around
+    the messages the partition drops."""
+    ring = build_chord_ring(num_nodes=48, seed=71)
+    total = 25
+    majority = cut_off(ring, set(range(4)), total * 60.0)
     rng = random.Random(1)
     successes = 0
-    total = 25
     for _ in range(total):
         results = []
-        node = rng.choice(ring.nodes)
+        node = rng.choice(majority)
         node.lookup(
             rng.getrandbits(32), on_done=results.append, style=LookupStyle.RECURSIVE
         )
         ring.sim.run(until=ring.sim.now + 60)
         if results and results[0].success:
             successes += 1
+    assert ring.network.dropped("partition") > 0
     assert successes >= 0.8 * total
 
 
 def test_lookup_retries_counted_under_loss():
-    ring = build_chord_ring(num_nodes=48, seed=73, loss_rate=0.15)
+    """Lookups issued as a third of the hosts are cut off: first hops
+    into that third time out, and those lookups retry."""
+    ring = build_chord_ring(num_nodes=48, seed=73)
+    majority = cut_off(ring, set(range(16)), 120.0)
     rng = random.Random(2)
-    retried = 0
+    results = []
     for _ in range(30):
-        results = []
-        node = rng.choice(ring.nodes)
-        node.lookup(
+        rng.choice(majority).lookup(
             rng.getrandbits(32), on_done=results.append, style=LookupStyle.RECURSIVE
         )
-        ring.sim.run(until=ring.sim.now + 60)
-        if results and results[0].retries:
-            retried += 1
-    assert retried > 0
+    ring.sim.run(until=ring.sim.now + 60)
+    assert len(results) == 30
+    assert any(r.retries for r in results)
 
 
 def test_initiator_crash_mid_lookup_no_crash():
@@ -135,16 +155,19 @@ def test_crashed_node_rpc_layer_rejects_use():
 
 
 def test_verdi_cross_copy_survives_loss():
+    """Fast-VerDi puts from the majority side of a partition still store
+    their cross-section copies."""
     ring = build_verme_ring(num_nodes=96, num_sections=8, seed=107)
-    ring.network.loss_rate = 0.03
-    ring.network._loss_rng = random.Random(11)
     layers = [FastVerDiNode(n, DhtConfig(num_replicas=4)) for n in ring.nodes]
+    majority = {n.address for n in cut_off(ring, set(range(6)), 10 * 120.0)}
+    writers = [layer for layer in layers if layer.node.address in majority]
     oks = 0
     rng = random.Random(13)
     for i in range(10):
         results = []
-        rng.choice(layers).put(bytes([i]) * 200, results.append)
+        rng.choice(writers).put(bytes([i]) * 200, results.append)
         ring.sim.run(until=ring.sim.now + 120)
         if results and results[0].ok:
             oks += 1
+    assert ring.network.dropped("partition") > 0
     assert oks >= 7

@@ -1,143 +1,9 @@
-"""Fault-plan and outage-script edge cases.
-
-Covers the corners the main fault tests skip: overlapping outage
-windows on one host (merged into one downtime interval), permanent
-outages absorbing later windows, zero-duration / inverted fault
-windows, and two partitions active at once.
-"""
-
-import math
+"""Fault-plan edge cases: inverted and zero-duration partition
+windows, and two partitions active at once."""
 
 import pytest
 
-from repro.faults import (
-    FaultPlan,
-    LinkFault,
-    Outage,
-    OutageScript,
-    Partition,
-    merge_outage_windows,
-)
-
-from test_faults import small_ring
-
-
-INF = math.inf
-
-
-# -- merge_outage_windows ----------------------------------------------------
-
-
-def test_merge_disjoint_windows_preserved():
-    windows = merge_outage_windows(
-        [Outage(1, 10.0, 5.0), Outage(1, 30.0, 5.0)]
-    )
-    assert windows == [(1, 10.0, 15.0), (1, 30.0, 35.0)]
-
-
-def test_merge_overlapping_windows_collapse():
-    windows = merge_outage_windows(
-        [Outage(1, 10.0, 20.0), Outage(1, 25.0, 20.0)]
-    )
-    assert windows == [(1, 10.0, 45.0)]
-
-
-def test_merge_abutting_windows_collapse():
-    windows = merge_outage_windows(
-        [Outage(1, 10.0, 10.0), Outage(1, 20.0, 10.0)]
-    )
-    assert windows == [(1, 10.0, 30.0)]
-
-
-def test_merge_contained_window_absorbed():
-    windows = merge_outage_windows(
-        [Outage(1, 10.0, 40.0), Outage(1, 20.0, 5.0)]
-    )
-    assert windows == [(1, 10.0, 50.0)]
-
-
-def test_merge_infinite_window_absorbs_everything_later():
-    windows = merge_outage_windows(
-        [Outage(1, 10.0, INF), Outage(1, 50.0, 5.0), Outage(1, 999.0, 1.0)]
-    )
-    assert windows == [(1, 10.0, INF)]
-
-
-def test_merge_handles_unsorted_input():
-    windows = merge_outage_windows(
-        [Outage(1, 25.0, 20.0), Outage(1, 10.0, 20.0)]
-    )
-    assert windows == [(1, 10.0, 45.0)]
-
-
-def test_merge_keeps_hosts_independent():
-    windows = merge_outage_windows(
-        [Outage(1, 10.0, 20.0), Outage(2, 15.0, 20.0)]
-    )
-    assert windows == [(1, 10.0, 30.0), (2, 15.0, 35.0)]
-
-
-def test_merge_empty():
-    assert merge_outage_windows([]) == []
-
-
-# -- OutageScript with overlapping windows -----------------------------------
-
-
-def test_overlapping_outages_crash_once_and_restart_after_merged_end():
-    """Regression: before windows were merged, the first window's
-    restart fired at t=40 while the second window (30-50) still held
-    the host down — the node resurrected mid-outage."""
-    ring, rngs = small_ring()
-    script = OutageScript(
-        ring.sim,
-        ring.population,
-        ring.factory,
-        rngs.stream("outages"),
-        [Outage(3, 20.0, 20.0), Outage(3, 30.0, 20.0)],
-    )
-    script.start()
-    assert script.windows == [(3, 20.0, 50.0)]
-    ring.sim.run(until=45.0)
-    # Inside the merged window — including past the first window's
-    # naive restart time — host 3 must still be down.
-    assert all(n.address.host_slot != 3 for n in ring.population.nodes)
-    assert script.crashes == 1
-    assert script.skipped == 0
-    ring.sim.run(until=200.0)
-    assert script.crashes == 1
-    assert script.restarts == 1
-    restarted = next(
-        n for n in ring.population.nodes if n.address.host_slot == 3
-    )
-    assert restarted.address.incarnation == 1
-
-
-def test_permanent_outage_absorbs_later_window():
-    ring, rngs = small_ring()
-    script = OutageScript(
-        ring.sim,
-        ring.population,
-        ring.factory,
-        rngs.stream("outages"),
-        [Outage(5, 20.0, INF), Outage(5, 40.0, 10.0)],
-    )
-    script.start()
-    ring.sim.run(until=200.0)
-    assert script.crashes == 1
-    assert script.restarts == 0
-    assert script.skipped == 0
-    assert all(n.address.host_slot != 5 for n in ring.population.nodes)
-
-
-# -- window validation -------------------------------------------------------
-
-
-def test_zero_and_negative_duration_outages_rejected():
-    with pytest.raises(ValueError):
-        Outage(0, 10.0, 0.0)
-    with pytest.raises(ValueError):
-        Outage(0, 10.0, -5.0)
+from repro.faults import FaultPlan, Partition
 
 
 def test_partition_heal_before_start_rejected():
@@ -145,13 +11,6 @@ def test_partition_heal_before_start_rejected():
         Partition.of([{0}, {1}], 10.0, 5.0)
     with pytest.raises(ValueError):
         Partition.of([{0}, {1}], 10.0, 10.0)  # zero-duration window
-
-
-def test_link_fault_zero_or_inverted_window_rejected():
-    with pytest.raises(ValueError):
-        LinkFault(start_s=5.0, end_s=5.0)
-    with pytest.raises(ValueError):
-        LinkFault(start_s=5.0, end_s=1.0)
 
 
 # -- overlapping partitions --------------------------------------------------
@@ -166,12 +25,12 @@ def test_two_active_partitions_compose():
         .add_partition(Partition.of([{0, 1}, {2}], 40.0, 80.0))
     )
     # t=45: both active. 0-1 cut by A, 1-2 cut by B, 0-2 cut by both.
-    assert not plan.verdict(0, 1, 45.0).deliver
-    assert not plan.verdict(1, 2, 45.0).deliver
-    assert not plan.verdict(0, 2, 45.0).deliver
+    assert plan.verdict(0, 1, 45.0) == "partition"
+    assert plan.verdict(1, 2, 45.0) == "partition"
+    assert plan.verdict(0, 2, 45.0) == "partition"
     # t=60: only B active. 0-1 flows again, 1-2 still cut.
-    assert plan.verdict(0, 1, 60.0).deliver
-    assert not plan.verdict(1, 2, 60.0).deliver
+    assert plan.verdict(0, 1, 60.0) is None
+    assert plan.verdict(1, 2, 60.0) == "partition"
     # t=85: all healed.
-    assert plan.verdict(1, 2, 85.0).deliver
+    assert plan.verdict(1, 2, 85.0) is None
     assert plan.stats.drops_by_cause["partition"] == 4

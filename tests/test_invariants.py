@@ -22,11 +22,7 @@ from repro.invariants import (
 )
 from repro.net import NodeAddress
 from repro.obs import OBS, disable as obs_disable, enabled as obs_enabled
-from repro.verme.audit import (
-    ContainmentViolation,
-    audit_node_state,
-    audit_overlay,
-)
+from repro.invariants import ContainmentViolation, containment_violations
 
 from conftest import build_chord_ring, build_verme_ring, population_of
 
@@ -150,11 +146,6 @@ def test_cross_section_finger_detected_as_hard_error():
     assert violation.node_id == node.node_id
     assert violation.entries == (foreign.node_id,)
     assert "fingers" in violation.detail
-    # The audit wrapper sees the same corruption (single implementation).
-    audit = audit_overlay(ring.nodes)
-    assert [(v.node_id, v.entry_id, v.table) for v in audit] == [
-        (node.node_id, foreign.node_id, "fingers")
-    ]
 
 
 def test_orphaned_node_detected_as_stranded():
@@ -276,7 +267,7 @@ def test_undersized_verme_ring_reports_conditional_not_error():
     assert all(v.severity == "conditional" for v in found)
 
 
-# -- audit wrappers (single implementation) -----------------------------------
+# -- the containment predicate's records ---------------------------------------
 
 
 def test_audit_node_state_enriched_context():
@@ -288,7 +279,7 @@ def test_audit_node_state_enriched_context():
         if layout.same_type(n.node_id, node.node_id)
         and not layout.same_section(n.node_id, node.node_id)
     )
-    out = audit_node_state(
+    out = containment_violations(
         layout, node.node_id, [foreign.node_id], [], []
     )
     assert len(out) == 1

@@ -1,10 +1,9 @@
 """Direct tests for small public APIs exercised only indirectly
-elsewhere: message sizing, op tags, the grid/averaging wrappers."""
+elsewhere: message sizing, op tags, the grid/averaging drivers."""
 
 
 from repro.dht import next_op_tag
 from repro.net import HEADER_BYTES, ID_BYTES, ADDR_BYTES, Message, NodeAddress, entry_bytes
-from repro.worm import WormScenarioConfig, run_all_scenarios
 
 
 def test_entry_bytes_is_id_plus_address():
@@ -30,24 +29,12 @@ def test_next_op_tag_monotone_unique():
     assert tags == sorted(tags)
 
 
-def test_run_all_scenarios_covers_every_scenario():
-    from repro.worm import SCENARIOS
-
-    cfg = WormScenarioConfig(num_nodes=300, num_sections=16, seed=4)
-    horizons = {name: 30.0 for name in SCENARIOS}
-    results = run_all_scenarios(cfg, horizons)
-    assert set(results) == set(SCENARIOS)
-    for name, res in results.items():
-        assert res.scenario == name
-        assert res.final_infected >= 1  # at least the seed
-
-
 def test_run_fig5_grid_shape():
-    from repro.experiments import Fig5Config, run_fig5
+    from repro.experiments import Fig5Config, run_fig5_parallel
 
     cfg = Fig5Config(num_nodes=30, duration_s=120.0, warmup_s=20.0,
                      mean_lifetimes_s=(3600.0,))
-    rows = run_fig5(cfg, systems=("chord-recursive", "verme"))
+    rows = run_fig5_parallel(cfg, systems=("chord-recursive", "verme"), workers=1)
     assert len(rows) == 2
     assert {r.system for r in rows} == {"chord-recursive", "verme"}
 
@@ -55,21 +42,23 @@ def test_run_fig5_grid_shape():
 def test_run_fig5_averages_multiple_runs():
     from dataclasses import replace
 
-    from repro.experiments import Fig5Config, run_fig5
+    from repro.experiments import Fig5Config, run_fig5_parallel
 
     cfg = Fig5Config(num_nodes=30, duration_s=120.0, warmup_s=20.0,
                      mean_lifetimes_s=(3600.0,), runs=2)
-    rows = run_fig5(cfg, systems=("chord-recursive",))
-    single = run_fig5(replace(cfg, runs=1), systems=("chord-recursive",))
+    rows = run_fig5_parallel(cfg, systems=("chord-recursive",), workers=1)
+    single = run_fig5_parallel(
+        replace(cfg, runs=1), systems=("chord-recursive",), workers=1
+    )
     assert rows[0].lookups > single[0].lookups  # pooled across runs
 
 
 def test_run_fig6_and_fig7_row_views():
-    from repro.experiments import DhtExperimentConfig
-    from repro.experiments.dht_ops import rows_for_figure, run_dht_experiment
+    from repro.experiments import DhtExperimentConfig, run_dht_parallel
+    from repro.experiments.dht_ops import rows_for_figure
 
     cfg = DhtExperimentConfig(num_nodes=60, num_sections=8, num_puts=4, num_gets=4)
-    flat = rows_for_figure(run_dht_experiment(cfg, systems=("dhash",)))
+    flat = rows_for_figure(run_dht_parallel(cfg, systems=("dhash",), workers=1))
     assert len(flat) == 2
     assert {r.operation for r in flat} == {"get", "put"}
     assert all(r.mean_bytes > 0 for r in flat)

@@ -1,6 +1,4 @@
-"""Unit tests for the message fabric: delivery, drops, loss, accounting."""
-
-import random
+"""Unit tests for the message fabric: delivery, drops, accounting."""
 
 import pytest
 
@@ -12,17 +10,22 @@ from repro.net import (
     Network,
     NodeAddress,
 )
+from repro.faults import FaultPlan, Partition
 from repro.sim import Simulator
 
 
-def make_net(loss_rate=0.0, bandwidth=None, one_way=0.05, hosts=4):
+def make_net(bandwidth=None, one_way=0.05, hosts=4, severed_until=None):
+    """A network; ``severed_until`` partitions host 0 from host 1 over
+    ``[0, severed_until)``."""
     sim = Simulator()
+    plan = None
+    if severed_until is not None:
+        plan = FaultPlan().add_partition(Partition.of([{0}, {1}], 0.0, severed_until))
     net = Network(
         sim,
         ConstantLatency(num_hosts=hosts, one_way=one_way),
         bandwidth_model=bandwidth,
-        loss_rate=loss_rate,
-        loss_rng=random.Random(0) if loss_rate else None,
+        fault_plan=plan,
     )
     return sim, net
 
@@ -93,26 +96,8 @@ def test_host_slot_outside_model_rejected():
         net.register(NodeAddress(5), lambda m: None)
 
 
-def test_loss_rate_drops_messages():
-    sim, net = make_net(loss_rate=0.5)
-    a, b = NodeAddress(0), NodeAddress(1)
-    got = []
-    net.register(b, got.append)
-    for _ in range(200):
-        net.send(a, b, "x", size=64)
-    sim.run()
-    assert 40 < len(got) < 160
-    assert net.dropped_messages == 200 - len(got)
-
-
-def test_loss_needs_rng():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Network(sim, ConstantLatency(2), loss_rate=0.1)
-
-
 def test_bytes_accounted_even_for_lost_messages():
-    sim, net = make_net(loss_rate=1.0)
+    sim, net = make_net(severed_until=10.0)
     net.register(NodeAddress(1), lambda m: None)
     net.send(NodeAddress(0), NodeAddress(1), "x", size=100, category="lookup")
     sim.run()
@@ -153,14 +138,14 @@ def test_accounting_reset():
 # -- cause-tagged drop counters ----------------------------------------------
 
 
-def test_loss_drops_tagged_with_cause():
-    sim, net = make_net(loss_rate=1.0)
+def test_partition_drops_tagged_with_cause():
+    sim, net = make_net(severed_until=10.0)
     net.register(NodeAddress(1), lambda m: None)
     net.send(NodeAddress(0), NodeAddress(1), "x", size=64)
     sim.run()
-    assert net.dropped("loss") == 1
+    assert net.dropped("partition") == 1
     assert net.dropped("dead-destination") == 0
-    assert net.fault_drops == 0
+    assert net.fault_drops == 1
     assert net.dropped_messages == 1
 
 
@@ -169,25 +154,26 @@ def test_dead_destination_drops_tagged_with_cause():
     net.send(NodeAddress(0), NodeAddress(1), "x", size=64)
     sim.run()
     assert net.dropped("dead-destination") == 1
-    assert net.dropped("loss") == 0
+    assert net.dropped("partition") == 0
+    assert net.fault_drops == 0
 
 
 def test_causes_accumulate_independently():
-    sim, net = make_net(loss_rate=0.5)
+    sim, net = make_net(severed_until=1.0)
     addr = NodeAddress(1)
     got = []
     net.register(addr, got.append)
-    for _ in range(100):
-        net.send(NodeAddress(0), addr, "x", size=64)
+    for i in range(100):
+        # Half the sends fall inside the partition window.
+        sim.schedule_at(i * 0.02, net.send, NodeAddress(0), addr, "x", 64)
     sim.run()
     net.unregister(addr)
     net.send(NodeAddress(0), addr, "x", size=64)
     sim.run()
-    lost = net.dropped("loss")
-    assert 20 < lost < 80
-    assert net.dropped("dead-destination") >= 1
-    assert net.dropped_messages == lost + net.dropped("dead-destination")
-    assert len(got) == 100 - lost
+    assert net.dropped("partition") == 50
+    assert net.dropped("dead-destination") == 1
+    assert net.dropped_messages == 51
+    assert len(got) == 50
 
 
 def test_accounting_mirrors_drop_causes():
@@ -201,7 +187,7 @@ def test_accounting_mirrors_drop_causes():
 
 def test_accounting_reset_clears_drop_causes():
     acct = ByteAccounting()
-    acct.record_drop("loss")
+    acct.record_drop("partition")
     acct.reset()
     assert acct.total_dropped == 0
-    assert acct.dropped("loss") == 0
+    assert acct.dropped("partition") == 0

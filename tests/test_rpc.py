@@ -192,17 +192,16 @@ def test_backoff_timeout_sequence():
 
 
 def test_retransmit_rescues_a_dropped_request():
-    """A loss burst eats the first send; the retransmission gets through.
+    """A partition window eats the first send; the retransmission, sent
+    after the heal, gets through.
 
     The same scenario without retransmits fails outright.
     """
-    from repro.faults import FaultPlan, LinkFault
+    from repro.faults import FaultPlan, Partition
 
     def attempt(max_retransmits):
         sim = Simulator()
-        plan = FaultPlan(seed=1).add_link_fault(
-            LinkFault.burst(0.0, 0.5)
-        )
+        plan = FaultPlan().add_partition(Partition.of([{0}, {1}], 0.0, 0.5))
         net = Network(
             sim, ConstantLatency(num_hosts=4, one_way=0.05), fault_plan=plan
         )
@@ -267,19 +266,13 @@ def test_backoff_jitter_is_deterministic():
 
 
 def test_exponential_backoff_retransmits_less_than_fixed_interval():
-    """Under 15% loss with a slow responder, exponential backoff issues
-    measurably fewer duplicate retransmissions than fixed-interval retry
-    while still completing the calls."""
-    import random as _random
+    """With a slow responder, exponential backoff issues measurably fewer
+    duplicate retransmissions than fixed-interval retry while still
+    completing the calls."""
 
     def scenario(backoff_factor):
         sim = Simulator()
-        net = Network(
-            sim,
-            ConstantLatency(num_hosts=4, one_way=0.05),
-            loss_rate=0.15,
-            loss_rng=_random.Random(11),
-        )
+        net = Network(sim, ConstantLatency(num_hosts=4, one_way=0.05))
         a = RpcLayer(
             sim, net, NodeAddress(0), default_timeout_s=1.0,
             max_retransmits=4, backoff_factor=backoff_factor,

