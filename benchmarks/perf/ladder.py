@@ -162,6 +162,8 @@ def measure_rung(name: str, smoke: bool) -> dict:
     finally:
         del cells.WORKLOADS[name]
     config = rung.args(SEED, smoke)[0]
+    # Live configs name their engine; the one worm engine is columnar.
+    engine = getattr(config, "engine", "columnar")
     metrics = measured["metrics"]
     end_to_end = [m["name"] for m in run.load_contract()["end_to_end"]]
     record = perf_common.bench_record(
@@ -171,7 +173,7 @@ def measure_rung(name: str, smoke: bool) -> dict:
         seed=SEED,
         parameters={
             "workload": rung.workload, "smoke": smoke, "num_nodes": config.num_nodes,
-            "num_sections": config.num_sections, "engine": config.engine,
+            "num_sections": config.num_sections, "engine": engine,
         },
         metrics={
             **{k: metrics[k] for k in end_to_end},

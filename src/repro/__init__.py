@@ -33,12 +33,7 @@ from .net import ByteAccounting, Network, NodeAddress
 from .overlay import StaticOverlay, VermeStaticOverlay
 from .sim import RngRegistry, Simulator
 from .verme import VermeNode
-from .worm import (
-    WormParams,
-    WormScenarioConfig,
-    WormSimulation,
-    run_scenario,
-)
+from .worm import WormParams, WormScenarioConfig, run_scenario
 
 __version__ = "0.1.0"
 
@@ -77,7 +72,6 @@ __all__ = [
     "VermeStaticOverlay",
     "WormParams",
     "WormScenarioConfig",
-    "WormSimulation",
     "instant_bootstrap",
     "run_scenario",
 ]

@@ -17,10 +17,6 @@
 6. **Fragments vs. replicas** — §5.1's skipped optimization: network
    bytes to durably place one block as (3, 6) erasure-coded fragments
    vs. six full replicas.
-
-The worm ablations (1, 4) build their worm through
-:data:`repro.worm.ENGINES`, the table :func:`~repro.worm.run_scenario`
-uses, so they run on the columnar engine.
 """
 
 from __future__ import annotations
@@ -46,9 +42,10 @@ from ..overlay.snapshot import (
 )
 from ..sim import RngRegistry, Simulator
 from ..unstructured import TrackerConfig, build_swarm, run_swarm_worm
+from ..worm.columnar import ColumnarWormSimulation
 from ..worm.knowledge import RoutingKnowledge
 from ..worm.model import WormParams
-from ..worm.scenarios import ENGINES, WormScenarioConfig, build_verme_population
+from ..worm.scenarios import WormScenarioConfig, build_verme_population
 from .builders import build_ring
 
 
@@ -83,7 +80,7 @@ def run_naive_finger_ablation(
             layout=overlay.layout,
         )
         sim = Simulator()
-        worm = ENGINES[config.engine](
+        worm = ColumnarWormSimulation(
             sim, len(overlay), pop.vulnerable, knowledge, config.params
         )
         seed_rng = random.Random(config.seed + 1)
@@ -217,7 +214,7 @@ def run_multitype_containment(
         layout=layout,
     )
     sim = Simulator()
-    worm = ENGINES["columnar"](
+    worm = ColumnarWormSimulation(
         sim, len(overlay), vulnerable, knowledge, params or WormParams()
     )
     worm.seed(rng.choice([i for i, v in enumerate(vulnerable) if v]))

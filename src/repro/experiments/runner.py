@@ -22,13 +22,13 @@ switches to the paper's §7 configurations (minutes to an hour), and
 ``--preset`` picks a named population scale without changing anything
 else (fig5: ``120``/``1k``/``10k``; fig8: ``1k``/``100k``/``1m``).
 
-``--engine NAME`` selects the simulation engine: for fig5/fig6/fig7/
-overload one of :data:`~repro.experiments.builders.ENGINES` (rows are
-bit-identical on both), by default the first whose capability table —
-printed by ``--help`` — admits the flags: columnar, unless ``--trace``
-or ``--metrics`` needs the object engine; an engine lacking a row the
-flags need is a usage error.  fig8 picks a worm engine, ``columnar``
-(default) or ``legacy``.  Unknown names list the available ones.
+``--engine NAME`` (fig5/fig6/fig7/overload) selects the live
+simulation engine, one of :data:`~repro.experiments.builders.ENGINES`
+(rows are bit-identical on both), by default the first whose capability
+table — printed by ``--help`` — admits the flags: columnar, unless
+``--trace`` or ``--metrics`` needs the object engine; an engine lacking
+a row the flags need is a usage error.  Unknown names list the
+available ones.
 
 ``--workload NAME`` / ``--overload NAME`` (fig5 and overload) select
 the key-popularity model (``poisson``, ``zipf``) and the arrival shape
@@ -50,8 +50,8 @@ Observability (see :mod:`repro.obs` and ``docs/observability.md``):
   engine (see ``--engine``).
 * ``--trace FILE`` records a Chrome ``trace_event`` JSON viewable at
   https://ui.perfetto.dev.  Serial-only: forces ``--workers 1``.
-  Runs the live figures on the object engine too (fig8's worm engines
-  both trace).
+  Runs the live figures on the object engine too (fig8's worm engine
+  traces).
 * ``--profile`` runs under cProfile *and* prints a per-phase
   wall/CPU/event-rate report.
 
@@ -80,7 +80,6 @@ from pathlib import Path
 from ..analysis.export import write_rows_csv, write_series_csv
 from ..analysis.tables import format_table
 from ..obs import OBS, disable as obs_disable, enable as obs_enable
-from ..worm import ENGINES as WORM_ENGINES
 from . import fidelity
 from .builders import ENGINES as LIVE_ENGINES
 from .dht_ops import DhtExperimentConfig
@@ -129,15 +128,9 @@ PRESETS = {
 }
 
 
-#: The figures that run the live protocol, on :data:`LIVE_ENGINES`.
+#: The figures that run the live protocol, on :data:`LIVE_ENGINES`
+#: (picked by ``--engine``, see :func:`_live_engine`).
 LIVE_FIGURES = ("fig5", "fig6", "fig7", "overload")
-
-#: ``--engine`` tables: the engines each figure can run on (live
-#: figures: see :func:`_live_engine`; fig8: first entry = default).
-ENGINE_CHOICES = {
-    **{figure: tuple(LIVE_ENGINES) for figure in LIVE_FIGURES},
-    "fig8": ("columnar",) + tuple(e for e in sorted(WORM_ENGINES) if e != "columnar"),
-}
 
 #: The flags that need a row of the live engines' capability tables.
 FLAG_ROWS = {"trace": "trace spans", "metrics": "metrics"}
@@ -357,12 +350,10 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=2, help="fig8 repetitions")
     parser.add_argument(
         "--engine", metavar="NAME", default=None,
-        help=f"simulation engine ({'/'.join(LIVE_FIGURES)}: "
+        help=f"live simulation engine ({'/'.join(LIVE_FIGURES)}: "
              f"{', '.join(LIVE_ENGINES)}, by default the first whose "
-             f"table below supports the run's flags; fig8: "
-             f"{', '.join(ENGINE_CHOICES['fig8'])}, default "
-             f"{ENGINE_CHOICES['fig8'][0]}); both engines of a figure "
-             "emit bit-identical rows")
+             "table below supports the run's flags); both engines emit "
+             "bit-identical rows")
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="processes for fig5/fig6/fig7/fig8/ablations cells (1 = "
@@ -414,12 +405,11 @@ def main(argv=None) -> int:
         if args.paper_scale:
             parser.error("--preset and --paper-scale are mutually exclusive")
     if args.engine is not None:
-        engines = ENGINE_CHOICES.get(args.figure)
-        if engines is None:
+        if args.figure not in LIVE_FIGURES:
             parser.error(f"--engine is not supported for {args.figure}")
-        if args.engine not in engines:
+        if args.engine not in LIVE_ENGINES:
             parser.error(f"unknown {args.figure} engine {args.engine!r} "
-                         f"(available: {', '.join(engines)})")
+                         f"(available: {', '.join(LIVE_ENGINES)})")
     if args.workload is not None or args.overload is not None:
         if args.figure not in ("fig5", "overload"):
             parser.error(

@@ -2,13 +2,12 @@
 failure-detector statistics."""
 
 from .detector import FailureDetectorStats, PeerRecord
-from .plan import CAUSE_PARTITION, FaultPlan, FaultPlanStats, Partition
+from .plan import CAUSE_PARTITION, FaultPlan, Partition
 
 __all__ = [
     "CAUSE_PARTITION",
     "FailureDetectorStats",
     "FaultPlan",
-    "FaultPlanStats",
     "Partition",
     "PeerRecord",
 ]

@@ -10,8 +10,8 @@ so a plan draws no random numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 #: The drop-cause tag a plan attaches to a verdict (the network counts
 #: drops under it, next to its own "dead-destination").
@@ -66,26 +66,11 @@ class Partition:
         return b is not None and a != b
 
 
-@dataclass
-class FaultPlanStats:
-    """What the plan actually did (observability for experiments)."""
-
-    drops_by_cause: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_drops(self) -> int:
-        return sum(self.drops_by_cause.values())
-
-    def _count_drop(self, cause: str) -> None:
-        self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
-
-
 class FaultPlan:
     """A deterministic partition schedule for one network."""
 
     def __init__(self) -> None:
         self.partitions: List[Partition] = []
-        self.stats = FaultPlanStats()
 
     def add_partition(self, partition: Partition) -> "FaultPlan":
         """Schedule ``partition``; returns the plan (chainable)."""
@@ -97,6 +82,5 @@ class FaultPlan:
         called by ``Network.send``."""
         for partition in self.partitions:
             if partition.severs(src_host, dst_host, now):
-                self.stats._count_drop(CAUSE_PARTITION)
                 return CAUSE_PARTITION
         return None

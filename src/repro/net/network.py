@@ -107,11 +107,6 @@ class Network:
         """Total undelivered messages, all causes."""
         return sum(self.drops_by_cause.values())
 
-    @property
-    def fault_drops(self) -> int:
-        """Messages the fault plan killed (everything but dead)."""
-        return self.dropped_messages - self.dropped(CAUSE_DEAD)
-
     def dropped(self, cause: str) -> int:
         return self.drops_by_cause.get(cause, 0)
 

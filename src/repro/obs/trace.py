@@ -18,8 +18,8 @@ simulated world); ``tid`` groups events into lanes by subsystem
 Determinism: events append in callback execution order, which for a
 fixed seed is fixed — two runs of the same experiment produce
 byte-identical trace files.  ``tests/test_obs_trace.py`` relies on this
-to assert the legacy and columnar worm engines emit *identical* logical
-traces.
+to assert the columnar worm engine and its oracle emit *identical*
+logical traces.
 
 ``python -m repro.obs.trace --validate run.trace.json`` checks a file
 against the subset of the trace_event schema this module emits (CI's

@@ -16,8 +16,9 @@ from ..crypto.certificates import CertificateAuthority
 from ..ids.assignment import NodeType
 from ..net.addressing import NodeAddress
 from ..sim import Simulator
+from ..worm.columnar import ColumnarWormSimulation
+from ..worm.knowledge import GraphKnowledge
 from ..worm.model import InfectionCurve, WormParams
-from ..worm.simulation import WormSimulation
 from .tracker import PeerRecord, Tracker, TrackerConfig
 
 
@@ -85,14 +86,6 @@ def build_swarm(
     return Swarm(tracker, peers, neighbor_sets, index_of)
 
 
-class _GraphKnowledge:
-    def __init__(self, graph: Dict[int, List[int]]) -> None:
-        self.graph = graph
-
-    def targets_of(self, index: int) -> List[int]:
-        return list(self.graph.get(index, []))
-
-
 def run_swarm_worm(
     swarm: Swarm,
     victim_type: NodeType = NodeType.A,
@@ -105,8 +98,8 @@ def run_swarm_worm(
     vulnerable = [p.claimed_type is victim_type for p in swarm.peers]
     graph = swarm.knowledge_graph(same_type_only=same_type_knowledge)
     sim = Simulator()
-    worm = WormSimulation(
-        sim, len(swarm.peers), vulnerable, _GraphKnowledge(graph),
+    worm = ColumnarWormSimulation(
+        sim, len(swarm.peers), vulnerable, GraphKnowledge(graph),
         params or WormParams(),
     )
     rng = random.Random(seed)

@@ -9,7 +9,6 @@ from .harvest import (
 from .knowledge import RoutingKnowledge, chord_knowledge, verme_knowledge
 from .model import InfectionCurve, WormParams, WormState
 from .scenarios import (
-    ENGINES,
     SCENARIOS,
     WormPopulation,
     WormRunResult,
@@ -18,12 +17,10 @@ from .scenarios import (
     build_verme_population,
     run_scenario,
 )
-from .simulation import WormSimulation
 
 __all__ = [
     "ColumnarWormSimulation",
     "CompromiseVerDiHarvester",
-    "ENGINES",
     "FastVerDiHarvester",
     "ImpersonatorKnowledge",
     "InfectionCurve",
@@ -33,7 +30,6 @@ __all__ = [
     "WormPopulation",
     "WormRunResult",
     "WormScenarioConfig",
-    "WormSimulation",
     "WormState",
     "build_chord_population",
     "build_verme_population",

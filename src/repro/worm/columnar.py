@@ -1,7 +1,8 @@
-"""Columnar batch-ticked worm propagation engine.
+"""The worm propagation engine: columnar and batch-ticked.
 
-A drop-in replacement for :class:`repro.worm.simulation.WormSimulation`
-built for million-node populations.  Three structural changes:
+Runs the four-state model of :mod:`repro.worm.model` over a static
+overlay population, built for million-node populations.  Three
+structural choices:
 
 * **Columnar state** — worm states are small ints in a byte array
   (:data:`repro.worm.model.STATE_TO_ENUM` converts at the public API
@@ -26,10 +27,12 @@ built for million-node populations.  Three structural changes:
   covers the draining cohort and the pending activation buckets
   behind it (:meth:`ColumnarWormSimulation._extract_window`).
 
-Equivalence with the legacy engine is bit-for-bit on the
-:class:`~repro.worm.model.InfectionCurve` (asserted by
-``tests/test_worm_columnar_equivalence.py``).  The argument, in brief:
-the legacy kernel fires tied events in scheduling-seq order, which for
+The tests hold this engine to an oracle, the one-kernel-event-per-scan
+:class:`repro.worm.simulation.WormSimulation`, which nothing else runs:
+curves, scan counts and final states are equal bit for bit
+(``tests/test_worm_columnar_equivalence.py``,
+``tests/test_worm_properties.py``).  The argument, in brief: the
+oracle's kernel fires tied events in scheduling-seq order, which for
 the three worm event kinds means descending scheduling lag
 (activations scheduled ``activation_delay`` ago, completions
 ``infect_time`` ago, scans ``scan_interval`` ago).  Within one kind at
@@ -37,21 +40,20 @@ one timestamp events commute (scans perform no state writes,
 completions for the same target collapse to one infection at the same
 time/count, activations touch disjoint state), so only the
 completion-vs-scan order is semantically visible — and bucketing by
-the *exact float* fire time reproduces the legacy cohort structure,
-because tied legacy events are precisely those whose float sums
-collide.  The one caveat: when ``infect_time == scan_interval`` the
-legacy engine interleaves the two kinds by seq, which a batch drain
-cannot reproduce; the default parameters (0.1 s vs 0.01 s) and every
-scenario in the repo keep them distinct.
+the *exact float* fire time reproduces the oracle's cohort structure,
+because tied oracle events are precisely those whose float sums
+collide.  When ``infect_time == scan_interval`` the oracle interleaves
+the two kinds by seq, which a batch drain cannot reproduce, so the
+constructor refuses those parameters.
 
 Tracing (:mod:`repro.obs`): when a trace recorder is active the scan
 and completion drains take their scalar paths unconditionally — the
 vectorised paths reorder within a cohort (``np.unique``, mask
-partitioning), and the scalar order is exactly the legacy engine's
-firing order, which is what makes the two engines' logical traces
-identical event for event (``tests/test_obs_trace.py``).  Events are
-stamped with the *logical* bucket time ``t``, not the tick's kernel
-time, matching when the legacy engine would have fired them.
+partitioning), and the scalar order is exactly the oracle's firing
+order, which is what makes the two engines' logical traces identical
+event for event (``tests/test_obs_trace.py``).  Events are stamped
+with the *logical* bucket time ``t``, not the tick's kernel time,
+matching when the oracle would have fired them.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ _KIND_SCAN = 2
 class ColumnarWormSimulation:
     """One propagation run over a fixed population, array-backed.
 
-    Public surface mirrors :class:`~repro.worm.simulation.WormSimulation`
-    (``seed`` / ``add_targets`` / ``run`` / ``is_infected`` / counters /
-    ``curve``); ``state`` materialises the enum list on access, with
+    Public surface: ``seed`` / ``add_targets`` / ``run`` /
+    ``is_infected`` / counters / ``curve``, as on the oracle;
+    ``state`` materialises the enum list on access, with
     :meth:`state_of` as the cheap single-node accessor.
     """
 
@@ -114,6 +116,12 @@ class ColumnarWormSimulation:
         params: WormParams = WormParams(),
     ) -> None:
         validate_population(num_nodes, vulnerable)
+        if params.infect_time_s == params.scan_interval_s:
+            raise ValueError(
+                f"infect_time_s ({params.infect_time_s}) equals scan_interval_s "
+                f"({params.scan_interval_s}): tied completions and scans fire in "
+                "scheduling order, which batch ticks cannot reproduce"
+            )
         self.sim = sim
         self.num_nodes = num_nodes
         self.vulnerable = list(vulnerable)
@@ -125,7 +133,7 @@ class ColumnarWormSimulation:
         self.infections_completed = 0
         #: Logical worm events drained (activations + completions +
         #: scans, idle-probe scans included) — the batch-tick analogue
-        #: of the kernel callbacks the legacy engine would have fired.
+        #: of the kernel callbacks the oracle engine would have fired.
         self.logical_events = 0
 
         # Columns.
@@ -160,9 +168,9 @@ class ColumnarWormSimulation:
         self._activation_delay = params.activation_delay_s
         self._window = self._interval
 
-        # Legacy fires tied events in scheduling-seq order == descending
-        # scheduling lag (stable sort keeps completions before scans if
-        # the lags are ever equal; see the module docstring caveat).
+        # The oracle fires tied events in scheduling-seq order ==
+        # descending scheduling lag (completion and scan lags differ:
+        # the constructor refuses equal ones).
         lagged = sorted(
             (
                 (self._activation_delay, _KIND_ACTIVATE),
@@ -247,15 +255,9 @@ class ColumnarWormSimulation:
             return 0
         return self._q_end[index] - self._q_head[index]
 
-    def run(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> InfectionCurve:
-        """Drive the simulation and return the infection curve.
-
-        ``max_events`` bounds *kernel* events here; with batch ticks
-        that is ticks + foreign events, not logical worm events.
-        """
-        self.sim.run(until=until, max_events=max_events)
+    def run(self, until: Optional[float] = None) -> InfectionCurve:
+        """Drive the simulation and return the infection curve."""
+        self.sim.run(until=until)
         return self.curve
 
     # -- arena -------------------------------------------------------------------
@@ -270,7 +272,7 @@ class ColumnarWormSimulation:
         self, index: int, targets: Sequence[int], assume_unique: bool
     ) -> bool:
         """Append ``targets`` to ``index``'s queue segment, preserving
-        the legacy dedup semantics (each address enqueued at most once
+        the oracle's dedup semantics (each address enqueued at most once
         per node, never the node itself).  Returns True if anything was
         added."""
         arena = self._arena
@@ -432,7 +434,7 @@ class ColumnarWormSimulation:
                         self._drain_scans(t, scans)
         if trace is not None and buckets:
             # Engine-mechanical span (not part of the logical-event
-            # contract shared with the legacy engine): one batch tick
+            # contract shared with the oracle engine): one batch tick
             # and the window of logical time it drained.
             trace.complete(
                 "worm.tick",
@@ -506,7 +508,7 @@ class ColumnarWormSimulation:
         self.logical_events += len(cohort)
         trace = OBS.trace
         if trace is not None:
-            # Cohort order is the legacy scheduling order on every path
+            # Cohort order is the oracle's scheduling order on every path
             # below, so the activation events can be emitted up front.
             for i in cohort:
                 trace.instant(

@@ -29,10 +29,8 @@ from ..ids.assignment import NodeType
 from ..obs import OBS
 from ..overlay.snapshot import VermeStaticOverlay
 from ..sim import Simulator
+from .columnar import ColumnarWormSimulation
 from .knowledge import RoutingKnowledge, id_types, keep_types
-
-if False:  # typing only; both worm engines satisfy the interface used here
-    from .simulation import WormSimulation
 
 
 class ImpersonatorKnowledge:
@@ -100,7 +98,7 @@ class _SectionHarvester:
     def __init__(
         self,
         sim: Simulator,
-        worm: "WormSimulation",
+        worm: ColumnarWormSimulation,
         overlay: VermeStaticOverlay,
         impersonator_index: int,
         victim_type: NodeType,
@@ -166,7 +164,7 @@ class _SectionHarvester:
         self.harvest_events += 1
         self.addresses_harvested += len(targets)
         # Harvest injections are traced here (engine-independent) rather
-        # than in the engines' ``add_targets``, which the legacy engine
+        # than in the engines' ``add_targets``, which the oracle engine
         # also calls internally on activation.
         trace = OBS.trace
         if trace is not None:
@@ -202,7 +200,7 @@ class CompromiseVerDiHarvester(_SectionHarvester):
     def __init__(
         self,
         sim: Simulator,
-        worm: "WormSimulation",
+        worm: ColumnarWormSimulation,
         overlay: VermeStaticOverlay,
         impersonator_index: int,
         victim_type: NodeType,

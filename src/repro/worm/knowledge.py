@@ -14,7 +14,7 @@ turn out to be invulnerable.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 import numpy as np
 
@@ -38,6 +38,19 @@ class KnowledgeModel(Protocol):
         """The overlay indices the worm on ``index`` can target, in the
         order it scans them."""
         ...
+
+
+class GraphKnowledge:
+    """Knowledge = a given adjacency: ``graph[index]`` is the target list
+    (absent nodes know nothing).  Lists are returned as given, so they
+    may repeat targets or name the node itself."""
+
+    def __init__(self, graph: Dict[int, List[int]]) -> None:
+        self.graph = graph
+
+    def targets_of(self, index: int) -> List[int]:
+        """A copy of ``index``'s adjacency list (empty when absent)."""
+        return list(self.graph.get(index, []))
 
 
 class RoutingKnowledge:

@@ -38,15 +38,6 @@ from .harvest import (
 )
 from .knowledge import chord_knowledge, verme_knowledge
 from .model import STATE_TO_ENUM, InfectionCurve, WormParams, WormState
-from .simulation import WormSimulation
-
-#: Engine selection for ``WormScenarioConfig.engine``.  ``columnar`` is
-#: the default batch-ticked engine; ``legacy`` keeps the per-event
-#: reference implementation (bit-for-bit identical curves).
-ENGINES = {
-    "columnar": ColumnarWormSimulation,
-    "legacy": WormSimulation,
-}
 
 SCENARIOS = (
     "chord",
@@ -87,19 +78,10 @@ class WormScenarioConfig:
     # paper's Fig. 8 setup, where the whole type is vulnerable).
     immune_fraction: float = 0.0
     seed: int = 0
-    # Propagation engine: "columnar" (batch-ticked, array-backed) or
-    # "legacy" (one kernel event per scan).  Both produce identical
-    # curves; legacy remains as the readable reference implementation
-    # and for debugging single events step by step.
-    engine: str = "columnar"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.immune_fraction < 1.0:
             raise ValueError("immune_fraction must be in [0, 1)")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; pick from {sorted(ENGINES)}"
-            )
 
     def with_paper_scale(self) -> "WormScenarioConfig":
         """The full 100k-node configuration from §7.3."""
@@ -130,8 +112,8 @@ class WormRunResult:
     vulnerable_count: int
     config: WormScenarioConfig
     scans_performed: int = 0
-    # Kernel events plus (for the columnar engine) logical worm events
-    # drained inside batch ticks — comparable across engines.
+    # Kernel events plus the logical worm events drained inside batch
+    # ticks.
     events: int = 0
 
     @property
@@ -225,11 +207,10 @@ def run_scenario(
     rng = random.Random(config.seed)
     sim = sim if sim is not None else Simulator()
 
-    engine_cls = ENGINES[config.engine]
     if scenario == "chord":
         pop = build_chord_population(config, rng)
         knowledge = chord_knowledge(pop.overlay, config.num_successors)
-        worm = engine_cls(
+        worm = ColumnarWormSimulation(
             sim, len(pop.overlay), pop.vulnerable, knowledge, config.params
         )
         seed_index = rng.choice(
@@ -253,7 +234,7 @@ def run_scenario(
         )
     else:
         knowledge = base_knowledge
-    worm = engine_cls(
+    worm = ColumnarWormSimulation(
         sim, len(pop.overlay), pop.vulnerable, knowledge, config.params
     )
     if with_imp:
@@ -323,7 +304,7 @@ def _result(
         vulnerable_count=pop.vulnerable_count,
         config=config,
         scans_performed=worm.scans_performed,
-        events=worm.sim.events_processed + getattr(worm, "logical_events", 0),
+        events=worm.sim.events_processed + worm.logical_events,
     )
     metrics = OBS.metrics
     if metrics is not None:
@@ -334,13 +315,10 @@ def _result(
 def _final_state_counts(worm) -> Dict[str, int]:
     """Final per-state node counts of a finished run (every node is in
     exactly one state, so the values sum to the population)."""
-    if isinstance(worm, ColumnarWormSimulation):
-        # The byte column counts through Counter's C loop; materialising
-        # the enum list would allocate one object per node.
-        raw = Counter(worm._state)
-        by_name = {STATE_TO_ENUM[code].name: n for code, n in raw.items()}
-    else:
-        by_name = {state.name: n for state, n in Counter(worm.state).items()}
+    # The byte column counts through Counter's C loop; materialising
+    # the enum list would allocate one object per node.
+    raw = Counter(worm._state)
+    by_name = {STATE_TO_ENUM[code].name: n for code, n in raw.items()}
     return {state.name: by_name.get(state.name, 0) for state in WormState}
 
 

@@ -1,4 +1,11 @@
-"""The worm propagation engine.
+"""The worm engine's oracle: one kernel event per logical worm event.
+
+Nothing of record runs this engine.  Experiments, the fidelity ledger,
+the CLI and the benchmarks all run
+:class:`repro.worm.columnar.ColumnarWormSimulation`; this readable
+per-event implementation is kept only so that tests can compare the
+columnar engine against it, on the scenarios and on any generated
+input (``tests/conftest.py``'s ``worm_oracle`` fixture swaps it in).
 
 Runs the four-state model of :mod:`repro.worm.model` as discrete events
 over a static overlay population.  Each infected node maintains a queue
@@ -171,7 +178,7 @@ class WormSimulation:
 
     # -- running -------------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> InfectionCurve:
+    def run(self, until: Optional[float] = None) -> InfectionCurve:
         """Drive the simulation and return the infection curve."""
-        self.sim.run(until=until, max_events=max_events)
+        self.sim.run(until=until)
         return self.curve

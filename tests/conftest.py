@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List
 
@@ -11,11 +12,15 @@ import pytest
 from repro.chord import ChordNode, OverlayConfig, instant_bootstrap
 from repro.chord.ring import Population
 from repro.crypto import CertificateAuthority
+from repro.experiments import ablations
 from repro.ids import IdSpace, NodeType, VermeIdLayout
 from repro.net import ConstantLatency, Network, NodeAddress
 from repro.overlay import StaticOverlay, VermeStaticOverlay
 from repro.sim import Simulator
+from repro.unstructured import swarm
 from repro.verme import VermeNode
+from repro.worm import scenarios
+from repro.worm.simulation import WormSimulation
 
 SMALL_BITS = 32
 
@@ -142,3 +147,34 @@ def chord_ring() -> ChordRing:
 @pytest.fixture
 def verme_ring() -> VermeRing:
     return build_verme_ring()
+
+
+#: The modules that build the worm engine, ``ColumnarWormSimulation``,
+#: by that name: Fig. 8's scenarios and the worm ablations (A1, A4, A5).
+WORM_BUILDERS = (scenarios, ablations, swarm)
+
+
+@pytest.fixture
+def worm_oracle(monkeypatch):
+    """A context manager under which every worm builder builds the
+    oracle engine, :class:`WormSimulation`, in place of the columnar
+    one; it yields the list of oracle worms built inside it."""
+
+    @contextmanager
+    def swapped():
+        built = []
+
+        class Oracle(WormSimulation):
+            # Every logical worm event is a kernel event here.
+            logical_events = 0
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        with monkeypatch.context() as patch:
+            for module in WORM_BUILDERS:
+                patch.setattr(module, "ColumnarWormSimulation", Oracle)
+            yield built
+
+    return swapped

@@ -12,13 +12,14 @@ from repro.experiments.ablations import (
     run_multitype_containment,
     run_naive_finger_ablation,
     run_replication_availability,
+    run_tracker_ablation,
 )
 from repro.ids import IdSpace, VermeIdLayout
 from repro.invariants import RingSnapshot, check_containment, containment_violations
 from repro.net import NodeAddress
 from repro.overlay import NaiveFingerVermeOverlay, StaticOverlay
 from repro.verme import max_safe_neighbor_list, min_safe_sections
-from repro.worm import ENGINES, WormScenarioConfig
+from repro.worm import WormScenarioConfig
 
 from conftest import build_verme_ring
 
@@ -90,9 +91,9 @@ def test_multitype_vulnerable_population_shrinks():
     assert r4.vulnerable < r2.vulnerable
 
 
-def test_worm_ablations_match_the_legacy_reference_engine(monkeypatch):
-    """Both worm ablations build their worm through ``worm.ENGINES``
-    (columnar by default) and report what the legacy engine reports."""
+def test_worm_ablations_match_the_legacy_reference_engine(worm_oracle):
+    """The worm ablations (A1, A4, A5) report on the columnar engine
+    what they report on its oracle, the legacy engine."""
 
     def run_all():
         return (
@@ -103,19 +104,14 @@ def test_worm_ablations_match_the_legacy_reference_engine(monkeypatch):
                 )
                 for bits in (1, 2, 3)
             ],
+            run_tracker_ablation(),
         )
 
     columnar = run_all()
-    built = []
-
-    class Legacy(ENGINES["legacy"]):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setitem(ENGINES, "columnar", Legacy)
-    assert run_all() == columnar
-    assert len(built) == 5  # two naive-finger overlays, three type counts
+    with worm_oracle() as built:
+        assert run_all() == columnar
+    # Two naive-finger overlays, three type counts, two swarms.
+    assert len(built) == 7
 
 
 # -- audit helpers ----------------------------------------------------------------------

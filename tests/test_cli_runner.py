@@ -24,6 +24,36 @@ def test_runner_requires_figure():
         main([])
 
 
+def test_fig8_has_no_engine_switch(capsys):
+    """fig8 runs the one worm engine; the oracle is not selectable."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fig8", "--engine", "legacy"])
+    assert exc.value.code == 2
+    assert "--engine is not supported for fig8" in capsys.readouterr().err
+
+
+def test_nothing_of_record_imports_the_worm_oracle():
+    """The package, the CLI, the ledger and the ablations never load
+    the oracle worm engine (checked in a fresh interpreter, since this
+    one's test fixtures import it)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys, repro, repro.experiments.runner, repro.experiments.fidelity, "
+        "repro.experiments.ablations; "
+        "sys.exit('repro.worm.simulation' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=False
+    )
+    assert done.returncode == 0
+
+
 def test_fig6_smoke(monkeypatch, capsys):
     """Shrink the config so the CLI path runs in seconds."""
     from repro.experiments.dht_ops import DhtExperimentConfig

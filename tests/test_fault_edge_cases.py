@@ -33,4 +33,3 @@ def test_two_active_partitions_compose():
     assert plan.verdict(1, 2, 60.0) == "partition"
     # t=85: all healed.
     assert plan.verdict(1, 2, 85.0) is None
-    assert plan.stats.drops_by_cause["partition"] == 4

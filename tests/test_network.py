@@ -145,7 +145,6 @@ def test_partition_drops_tagged_with_cause():
     sim.run()
     assert net.dropped("partition") == 1
     assert net.dropped("dead-destination") == 0
-    assert net.fault_drops == 1
     assert net.dropped_messages == 1
 
 
@@ -155,7 +154,6 @@ def test_dead_destination_drops_tagged_with_cause():
     sim.run()
     assert net.dropped("dead-destination") == 1
     assert net.dropped("partition") == 0
-    assert net.fault_drops == 0
 
 
 def test_causes_accumulate_independently():

@@ -1,5 +1,6 @@
 """Trace recorder tests: format validity, the CLI validator, and the
-legacy/columnar worm engines' identical-logical-trace contract."""
+identical-logical-trace contract between the columnar worm engine and
+its oracle (the legacy per-event engine)."""
 
 from __future__ import annotations
 
@@ -81,10 +82,8 @@ def test_byte_stable_rendering():
     assert build() == build()
 
 
-def _logical_worm_trace(scenario: str, engine: str):
-    config = WormScenarioConfig(
-        num_nodes=300, num_sections=16, seed=42, engine=engine
-    )
+def _logical_worm_trace(scenario: str):
+    config = WormScenarioConfig(num_nodes=300, num_sections=16, seed=42)
     with collecting(metrics=False, trace=True):
         result = run_scenario(scenario, config, until=120.0)
         events = [
@@ -93,31 +92,26 @@ def _logical_worm_trace(scenario: str, engine: str):
     return result, events
 
 
-def test_engines_emit_identical_logical_traces():
+def test_engines_emit_identical_logical_traces(worm_oracle):
     """The tracing contract both engines share: same logical events, in
     the same order, with the same timestamps and args — on every
     scenario, impersonation harvests included."""
     for scenario in SCENARIOS:
-        legacy_result, legacy = _logical_worm_trace(scenario, "legacy")
-        columnar_result, columnar = _logical_worm_trace(scenario, "columnar")
+        with worm_oracle():
+            legacy_result, legacy = _logical_worm_trace(scenario)
+        columnar_result, columnar = _logical_worm_trace(scenario)
         assert legacy, f"{scenario}: legacy produced no worm events"
         assert legacy == columnar, f"{scenario}: logical traces differ"
         assert legacy_result.final_infected == columnar_result.final_infected
 
 
-def test_columnar_tick_spans_present_only_for_columnar():
+def test_columnar_tick_spans_present_only_for_columnar(worm_oracle):
     config = WormScenarioConfig(num_nodes=300, num_sections=16, seed=42)
     with collecting(metrics=False, trace=True):
         run_scenario("chord", config, until=60.0)
         names = {e["name"] for e in OBS.trace.events}
     assert "worm.tick" in names
-    with collecting(metrics=False, trace=True):
-        run_scenario(
-            "chord",
-            WormScenarioConfig(
-                num_nodes=300, num_sections=16, seed=42, engine="legacy"
-            ),
-            until=60.0,
-        )
+    with worm_oracle(), collecting(metrics=False, trace=True):
+        run_scenario("chord", config, until=60.0)
         names = {e["name"] for e in OBS.trace.events}
     assert "worm.tick" not in names

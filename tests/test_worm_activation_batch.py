@@ -9,7 +9,6 @@ logical event count and every node's queue.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -20,11 +19,11 @@ from repro.sim import Simulator
 from repro.worm import (
     ColumnarWormSimulation,
     WormScenarioConfig,
-    WormSimulation,
     build_chord_population,
     chord_knowledge,
     run_scenario,
 )
+from repro.worm.simulation import WormSimulation
 
 SPACE = IdSpace(32)
 
@@ -191,11 +190,12 @@ def test_chord_20k_extracts_in_few_kernel_calls():
 
 
 @pytest.mark.parametrize("scenario", ["chord", "verme-fast"])
-def test_wide_ring_batches_scalar_rows(scenario):
+def test_wide_ring_batches_scalar_rows(worm_oracle, scenario):
     """On a 160-bit ring the kernel returns plain lists from its scalar
     path; the window batch must still match the legacy engine."""
     config = WormScenarioConfig(num_nodes=1000, num_sections=64, seed=3, id_bits=160)
-    legacy = run_scenario(scenario, replace(config, engine="legacy"), until=300.0)
+    with worm_oracle():
+        legacy = run_scenario(scenario, config, until=300.0)
     window = run_scenario(scenario, config, until=300.0)
     assert window.curve.points == legacy.curve.points
     assert window.scans_performed == legacy.scans_performed

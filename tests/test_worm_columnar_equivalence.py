@@ -1,4 +1,5 @@
-"""Columnar-vs-legacy worm engine equivalence.
+"""The columnar worm engine against its oracle, the per-event
+:class:`~repro.worm.simulation.WormSimulation` ("legacy" below).
 
 The columnar engine promises bit-for-bit identical
 :class:`~repro.worm.model.InfectionCurve` results, not approximate
@@ -11,18 +12,20 @@ dedup — repeatedly feeding a scanner addresses it has already scanned
 must not grow its queue, wake it, or cost any scan slots.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.sim import Simulator
 from repro.worm import (
-    ENGINES,
     SCENARIOS,
+    ColumnarWormSimulation,
     WormParams,
     WormScenarioConfig,
     run_scenario,
 )
+from repro.worm.knowledge import GraphKnowledge
+from repro.worm.simulation import WormSimulation
+
+ENGINES = {"columnar": ColumnarWormSimulation, "legacy": WormSimulation}
 
 #: Sim-time horizons long enough for every scenario to go quiescent at
 #: these scales (the slow verme-* curves are harvester-rate-bound).
@@ -35,50 +38,39 @@ HORIZONS = {
 }
 
 
-def _run_both(scenario, config):
+def _run_both(worm_oracle, scenario, config):
     until = HORIZONS[scenario]
-    legacy = run_scenario(scenario, replace(config, engine="legacy"), until=until)
-    columnar = run_scenario(
-        scenario, replace(config, engine="columnar"), until=until
-    )
+    with worm_oracle():
+        legacy = run_scenario(scenario, config, until=until)
+    columnar = run_scenario(scenario, config, until=until)
     return legacy, columnar
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_curves_identical_1k(scenario):
+def test_curves_identical_1k(worm_oracle, scenario):
     config = WormScenarioConfig(num_nodes=1000, num_sections=64, seed=3)
-    legacy, columnar = _run_both(scenario, config)
+    legacy, columnar = _run_both(worm_oracle, scenario, config)
     assert legacy.curve.points == columnar.curve.points
     assert legacy.scans_performed == columnar.scans_performed
     assert legacy.final_infected == columnar.final_infected
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_curves_identical_10k(scenario):
+def test_curves_identical_10k(worm_oracle, scenario):
     config = WormScenarioConfig(num_nodes=10_000, num_sections=256, seed=11)
-    legacy, columnar = _run_both(scenario, config)
+    legacy, columnar = _run_both(worm_oracle, scenario, config)
     assert legacy.curve.points == columnar.curve.points
     assert legacy.scans_performed == columnar.scans_performed
     assert legacy.final_infected == columnar.final_infected
 
 
-def test_different_seed_still_identical():
+def test_different_seed_still_identical(worm_oracle):
     config = WormScenarioConfig(num_nodes=1000, num_sections=64, seed=42)
-    legacy, columnar = _run_both("chord", config)
+    legacy, columnar = _run_both(worm_oracle, "chord", config)
     assert legacy.curve.points == columnar.curve.points
 
 
 # -- hand-built graphs: batch-tick boundaries ---------------------------------
-
-
-class FixedKnowledge:
-    """A hand-written knowledge graph for precise assertions."""
-
-    def __init__(self, graph):
-        self.graph = graph
-
-    def targets_of(self, index):
-        return list(self.graph.get(index, []))
 
 
 def _build(engine, graph, vulnerable, params=None):
@@ -87,16 +79,10 @@ def _build(engine, graph, vulnerable, params=None):
         sim,
         num_nodes=len(vulnerable),
         vulnerable=vulnerable,
-        knowledge=FixedKnowledge(graph),
+        knowledge=GraphKnowledge(graph),
         params=params or WormParams(),
     )
     return sim, worm
-
-
-def _final_states(worm):
-    return [worm.state_of(i) for i in range(worm.num_nodes)] if hasattr(
-        worm, "state_of"
-    ) else list(worm.state)
 
 
 @pytest.mark.parametrize(
@@ -115,7 +101,7 @@ def test_fixed_graph_equivalence(graph, vulnerable):
         worm.seed(0)
         worm.run(until=1000.0)
         results[engine] = (worm.curve.points, worm.scans_performed,
-                          _final_states(worm))
+                          list(worm.state))
     assert results["columnar"] == results["legacy"]
 
 
@@ -133,7 +119,7 @@ def test_midrun_injection_equivalence():
         sim.call_after(2.505, lambda w=worm: w.add_targets(1, [5, 0]))
         worm.run(until=100.0)
         results[engine] = (worm.curve.points, worm.scans_performed,
-                          _final_states(worm))
+                          list(worm.state))
     assert results["columnar"] == results["legacy"]
 
 

@@ -13,11 +13,11 @@ from repro.overlay import StaticOverlay, VermeStaticOverlay
 from repro.overlay.snapshot import _BATCH_CHUNK, NaiveFingerVermeOverlay
 from repro.sim import Simulator
 from repro.worm import (
+    ColumnarWormSimulation,
     CompromiseVerDiHarvester,
     FastVerDiHarvester,
     ImpersonatorKnowledge,
     RoutingKnowledge,
-    WormSimulation,
     chord_knowledge,
     verme_knowledge,
 )
@@ -104,7 +104,7 @@ def make_worm(overlay, seed_idx, victim=NodeType.A):
     sim = Simulator()
     vulnerable = [LAYOUT.type_of(i) == int(victim) for i in overlay.ids]
     vulnerable[seed_idx] = False
-    worm = WormSimulation(
+    worm = ColumnarWormSimulation(
         sim, len(overlay), vulnerable, verme_knowledge(overlay, 5, 5)
     )
     worm.seed(seed_idx)

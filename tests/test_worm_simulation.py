@@ -1,19 +1,11 @@
-"""Tests for the worm propagation engine on hand-built graphs."""
+"""Tests for the worm engine's oracle on hand-built graphs."""
 
 import pytest
 
 from repro.sim import Simulator
-from repro.worm import WormParams, WormSimulation, WormState
-
-
-class FixedKnowledge:
-    """A hand-written knowledge graph for precise assertions."""
-
-    def __init__(self, graph):
-        self.graph = graph
-
-    def targets_of(self, index):
-        return list(self.graph.get(index, []))
+from repro.worm import WormParams, WormState
+from repro.worm.knowledge import GraphKnowledge
+from repro.worm.simulation import WormSimulation
 
 
 def run_worm(graph, vulnerable, seed=0, params=None, until=1000.0):
@@ -22,7 +14,7 @@ def run_worm(graph, vulnerable, seed=0, params=None, until=1000.0):
         sim,
         num_nodes=len(vulnerable),
         vulnerable=vulnerable,
-        knowledge=FixedKnowledge(graph),
+        knowledge=GraphKnowledge(graph),
         params=params or WormParams(),
     )
     worm.seed(seed)
@@ -86,7 +78,7 @@ def test_fanout_infections_serialized_by_attacker():
 def test_add_targets_wakes_idle_scanner():
     sim = Simulator()
     worm = WormSimulation(
-        sim, 3, [True] * 3, FixedKnowledge({0: [], 1: [], 2: []})
+        sim, 3, [True] * 3, GraphKnowledge({0: [], 1: [], 2: []})
     )
     worm.seed(0)
     sim.run(until=10)
@@ -102,7 +94,7 @@ def test_add_targets_wakes_idle_scanner():
 
 def test_add_targets_to_uninfected_node_ignored():
     sim = Simulator()
-    worm = WormSimulation(sim, 2, [True] * 2, FixedKnowledge({}))
+    worm = WormSimulation(sim, 2, [True] * 2, GraphKnowledge({}))
     worm.add_targets(0, [1])
     sim.run(until=10)
     assert worm.infected_count == 0
@@ -115,7 +107,7 @@ def test_self_targets_ignored():
 
 def test_seed_idempotent():
     sim = Simulator()
-    worm = WormSimulation(sim, 2, [True] * 2, FixedKnowledge({0: [1]}))
+    worm = WormSimulation(sim, 2, [True] * 2, GraphKnowledge({0: [1]}))
     worm.seed(0)
     worm.seed(0)
     sim.run(until=10)
@@ -124,7 +116,7 @@ def test_seed_idempotent():
 
 def test_vulnerable_mask_length_checked():
     with pytest.raises(ValueError):
-        WormSimulation(Simulator(), 3, [True], FixedKnowledge({}))
+        WormSimulation(Simulator(), 3, [True], GraphKnowledge({}))
 
 
 def test_concurrent_attackers_single_infection():
@@ -145,7 +137,7 @@ def test_infecting_attacker_loses_race_returns_to_scanning():
     ``infections_completed`` or re-recording the curve."""
     sim = Simulator()
     worm = WormSimulation(
-        sim, 4, [True] * 4, FixedKnowledge({0: [2], 1: [2, 3], 2: [], 3: []})
+        sim, 4, [True] * 4, GraphKnowledge({0: [2], 1: [2, 3], 2: [], 3: []})
     )
     # Two seeds race for node 2: node 0 (seeded first, so its
     # _infection_done fires first among ties) wins; node 1 loses.
